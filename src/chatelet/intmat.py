@@ -10,7 +10,6 @@ subquotients of Z^n all reduce to that decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -139,26 +138,7 @@ class IntMatrix:
         """Exact determinant by the Bareiss fraction-free algorithm."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss(self.rows, [()] * self.nrows)[1]
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -408,38 +388,52 @@ def solve(A: IntMatrix, b: Sequence[int], dec: SmithDecomposition | None = None)
     return dec.V.apply(y)
 
 
+def _bareiss(A: Sequence[Sequence[int]],
+             B: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of [A | B] (Bareiss 1968).
+
+    A is square and B has as many rows.  Returns (X, d) with A X = d B and
+    d = det(A), all in integers: every division below is exact, and when
+    the elimination ends each pivot equals det(A) up to the sign of the row
+    swaps.  When A is singular, d is 0 and X is empty.
+    """
+    n = len(A)
+    m = [list(a) + list(b) for a, b in zip(A, B)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return [], 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        akk = pivot_row[k]
+        for i in range(n):
+            aik = m[i][k]
+            if i == k or (aik == 0 and akk == prev):
+                continue  # the update would leave row i as it is
+            m[i] = [(akk * x - aik * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = akk
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
+
+
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1.
 
-    Gauss-Jordan elimination over Fraction; the result is checked to be
-    integral, which fails exactly when M is not unimodular.
+    One fraction-free solve M X = d I; M is unimodular exactly when d = +-1,
+    and then the inverse is d X.
     """
     if M.nrows != M.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = M.nrows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = a[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return IntMatrix(out, ncols=n)
+    X, d = _bareiss(M.rows, IntMatrix.identity(n).rows)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix([[d * x for x in row] for row in X], ncols=n)
 
 
 def solution_lattice(dim: int,

@@ -1,9 +1,18 @@
 """Exact arithmetic in finite extensions of the p-adic numbers.
 
-Fields are towers of unramified and Eisenstein steps over Q_p.  Elements
-carry exact coordinates (Fraction entries over the monomial basis of the
-tower), so valuation, squareness, and norms are exact decisions; there is no
-precision parameter and no rounding anywhere in this module.
+Fields are towers of unramified and Eisenstein steps over Q_p.  An element is
+a flat tuple of integer numerators over the monomial basis of the tower and
+one positive common denominator, normalised so that the gcd of all of them is
+one; zero is all-zero numerators over 1.  Valuation, squareness, and norms
+are therefore exact decisions; there is no precision parameter and no
+rounding anywhere in this module.
+
+Each field builds, once, an integer structure-constant table
+m_i * m_j = (sum_k T[i][j][k] m_k) / D over its monomials, from its parent's
+table and the step polynomial; that build is the only place the tower is
+walked step by step.  A product is one integer contraction with the table
+followed by a gcd.  The residue field multiplies with the same table,
+restricted to the unramified monomials and reduced mod p.
 
 The monomial basis of such a tower is an integral basis, and the weights of
 the Eisenstein monomials are pairwise distinct modulo the absolute
@@ -17,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import inf
+from math import gcd, inf, lcm
 from typing import Sequence
+
+from .intmat import _bareiss
 
 
 def _is_prime(n: int) -> bool:
@@ -32,162 +43,67 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _vp(q: Fraction, p: int):
-    """p-adic valuation of a rational number (inf for zero)."""
-    if q == 0:
-        return inf
+def _vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    num = q.numerator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-def _frac_mod(q: Fraction, m: int) -> int:
-    """Reduce a rational with denominator prime to m modulo m."""
-    if q.denominator % m == 0 or pow(q.denominator, 1, m) == 0:
-        raise ValueError("denominator not invertible")
-    return q.numerator * pow(q.denominator, -1, m) % m
-
-
-# -- generic coefficient rings (used for both exact and residue arithmetic) ------
-
-
-class _FractionRing:
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-
-class _ModRing:
-    def __init__(self, m: int):
-        self.m = m
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.m
-
-    def from_int(self, n: int):
-        return n % self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
-    def is_zero(self, a) -> bool:
-        return a % self.m == 0
-
-
-class _QuotientRing:
-    """sub[x] / (x^d + c_{d-1} x^{d-1} + ... + c_0), elements as tuples."""
-
-    def __init__(self, sub, coeffs: tuple):
-        self.sub = sub
-        self.coeffs = coeffs
-        self.deg = len(coeffs)
-
-    def zero(self):
-        return tuple(self.sub.zero() for _ in range(self.deg))
-
-    def one(self):
-        return tuple(self.sub.one() if i == 0 else self.sub.zero()
-                     for i in range(self.deg))
-
-    def from_int(self, n: int):
-        return tuple(self.sub.from_int(n) if i == 0 else self.sub.zero()
-                     for i in range(self.deg))
-
-    def add(self, a, b):
-        return tuple(self.sub.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.sub.neg(x) for x in a)
-
-    def mul(self, a, b):
-        d = self.deg
-        conv = [self.sub.zero() for _ in range(2 * d - 1)]
-        for i, x in enumerate(a):
-            if self.sub.is_zero(x):
-                continue
+def _contract(table: tuple, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Numerators of (sum a_i m_i)(sum b_j m_j) over a structure-constant
+    table whose entries T[i][j] list the nonzero pairs (k, T[i][j][k])."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
             for j, y in enumerate(b):
-                conv[i + j] = self.sub.add(conv[i + j], self.sub.mul(x, y))
-        # reduce by the monic modulus, top down
-        for k in range(2 * d - 2, d - 1, -1):
-            c = conv[k]
-            if self.sub.is_zero(c):
-                continue
-            conv[k] = self.sub.zero()
-            for j, m in enumerate(self.coeffs):
-                conv[k - d + j] = self.sub.add(conv[k - d + j],
-                                               self.sub.neg(self.sub.mul(c, m)))
-        return tuple(conv[:d])
-
-    def is_zero(self, a) -> bool:
-        return all(self.sub.is_zero(x) for x in a)
-
-
-def _ring_pow(ring, a, n: int):
-    out = ring.one()
-    base = a
-    while n > 0:
-        if n & 1:
-            out = ring.mul(out, base)
-        base = ring.mul(base, base)
-        n >>= 1
+                if y:
+                    xy = x * y
+                    for k, t in row[j]:
+                        out[k] += xy * t
     return out
 
 
-def _ring_det(ring, m: list) -> object:
-    """Determinant by cofactor expansion; sizes here never exceed the step degree."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ring.zero()
-    for j in range(n):
-        if ring.is_zero(m[0][j]):
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = ring.mul(m[0][j], _ring_det(ring, minor))
-        if j % 2:
-            term = ring.neg(term)
-        total = ring.add(total, term)
-    return total
+def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
+    """Table (T, D) of par[t]/(t^d + c_{d-1} t^{d-1} + ... + c_0): the
+    product m_I * m_J is (sum of v * m_K over the pairs (K, v) in T[I][J]) / D.
+
+    The monomial t^a * m_i of the extension has index a * n + i, where m_i
+    runs over the n monomials of par.
+    """
+    d = len(coeffs)
+    n = len(par._monomials)
+    zero = par.zero()
+    # t^s as coefficient vectors over par, for s up to 2d - 2
+    powers = [[par.one() if l == s else zero for l in range(d)] for s in range(d)]
+    for _ in range(d - 1):
+        prev = powers[-1]
+        powers.append([(prev[l - 1] if l else zero) - prev[-1] * c
+                       for l, c in enumerate(coeffs)])
+    basis = [par._monomial(i) for i in range(n)]
+    rows = []
+    for a in range(d):
+        for i in range(n):
+            row = []
+            for b in range(d):
+                for j in range(n):
+                    mij = basis[i] * basis[j]
+                    row.append([c for r in powers[a + b] for c in (mij * r).coords()])
+            rows.append(row)
+    den = lcm(*(c.denominator for row in rows for coords in row for c in coords))
+    table = tuple(tuple(tuple((k, int(c * den)) for k, c in enumerate(coords) if c)
+                        for coords in row) for row in rows)
+    return table, den
 
 
 @dataclass(frozen=True)
 class _Step:
     kind: str      # "unramified" or "eisenstein"
     coeffs: tuple  # ascending lower coefficients of the monic minimal polynomial,
-                   # as nested data over the field below
+                   # as elements of the field below
 
 
 _FIELD_CACHE: dict = {}
@@ -205,18 +121,14 @@ class LocalField:
     """
 
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
-                 "_rings", "_res_ring", "_res_shape", "_monomials", "_weights",
-                 "_gen_weights", "_square_cache", "_class_cache", "_inv_cache")
+                 "_monomials", "_weights", "_table", "_table_den", "_unram",
+                 "_res_table", "_square_cache", "_class_cache", "_inv_cache")
 
     def __init__(self, p: int, steps: tuple):
         self.p = p
         self.steps = steps
         if not _is_prime(p):
             raise ValueError("p must be prime")
-
-        self._rings = [_FractionRing()]
-        for st in steps:
-            self._rings.append(_QuotientRing(self._rings[-1], st.coeffs))
 
         e = 1
         f = 1
@@ -236,34 +148,37 @@ class LocalField:
         self.ramification_index = e
         self.residue_degree = f
         self.degree = e * f
-        self._gen_weights = tuple(gen_weights)
 
         monomials = [()]
         for st in steps:
             d = len(st.coeffs)
             monomials = [m + (j,) for j in range(d) for m in monomials]
         self._monomials = tuple(monomials)
-        self._weights = tuple(sum(k * w for k, w in zip(m, self._gen_weights))
+        self._weights = tuple(sum(k * w for k, w in zip(m, gen_weights))
                               for m in self._monomials)
 
-        # residue tower: the unramified steps reduced mod p
-        res_ring = _ModRing(p)
-        res_shape = []
-        for i, st in enumerate(steps):
-            if st.kind == "unramified":
-                parent = LocalField.make(p, steps[:i])
-                mod_res = tuple(parent._to_residue(c) for c in st.coeffs)
-                res_ring = _QuotientRing(res_ring, mod_res)
-                res_shape.append(len(st.coeffs))
-        self._res_ring = res_ring
-        self._res_shape = tuple(res_shape)
+        if steps:
+            self._validate_last_step()
+            self._table, self._table_den = _structure_constants(self.parent(),
+                                                                steps[-1].coeffs)
+        else:
+            self._table, self._table_den = ((((0, 1),),),), 1
+
+        # residue field: the unramified monomials, with the table reduced mod p;
+        # the monomials are integral, so table_den is prime to p
+        self._unram = tuple(idx for idx, mono in enumerate(self._monomials)
+                            if all(k == 0 or steps[i].kind == "unramified"
+                                   for i, k in enumerate(mono)))
+        pos = {idx: r for r, idx in enumerate(self._unram)}
+        inv = pow(self._table_den, -1, p)
+        self._res_table = tuple(
+            tuple(tuple((pos[k], t * inv % p) for k, t in self._table[i][j]
+                        if k in pos and t * inv % p) for j in self._unram)
+            for i in self._unram)
 
         self._square_cache: dict = {}
         self._class_cache = None
         self._inv_cache: dict = {}
-
-        if steps:
-            self._validate_last_step()
 
     # -- construction ---------------------------------------------------------
 
@@ -291,9 +206,9 @@ class LocalField:
             if isinstance(c, PadicElement):
                 if c.field != self:
                     raise ValueError("coefficient from a different field")
-                out.append(c.data)
+                out.append(c)
             else:
-                out.append(self._from_rational(Fraction(c)))
+                out.append(self.rational(c))
         return tuple(out)
 
     def extend_unramified(self, coeffs: Sequence) -> "LocalField":
@@ -314,7 +229,7 @@ class LocalField:
         d = len(st.coeffs)
         if d < 2:
             raise ValueError("extension step must have degree at least two")
-        vals = [par._valuation_data(c) for c in st.coeffs]
+        vals = [c.valuation() for c in st.coeffs]
         if st.kind == "eisenstein":
             # valuations here are in the parent's normalization, where the
             # parent uniformizer has valuation one
@@ -340,158 +255,107 @@ class LocalField:
             raise ValueError(f"unknown step kind {st.kind!r}")
 
     # -- residue field helpers --------------------------------------------------
+    # A residue is a tuple of integers mod p over the unramified monomials.
 
-    def _residue_elements(self):
+    def _residue_elements(self) -> list[tuple]:
         """All residue field elements, in a fixed deterministic order."""
-        size = self.p ** self.residue_degree
-        flats = product(range(self.p), repeat=self.residue_degree)
-        return [self._res_unflatten(list(f)) for f in flats], size
+        return list(product(range(self.p), repeat=self.residue_degree))
 
-    def _res_unflatten(self, flat: list):
-        def build(shape):
-            if not shape:
-                return flat.pop(0)
-            d = shape[-1]
-            return tuple(build(shape[:-1]) for _ in range(d))
+    def _res_mul(self, a: tuple, b: tuple) -> tuple:
+        return tuple(x % self.p for x in _contract(self._res_table, a, b))
 
-        # consume in the same order as _res_flatten
-        return build(self._res_shape)
+    def _res_one(self) -> tuple:
+        return tuple(int(i == 0) for i in range(self.residue_degree))
 
-    def _res_flatten(self, r) -> list:
-        def walk(x, shape):
-            if not shape:
-                return [x]
-            out = []
-            for part in x:
-                out.extend(walk(part, shape[:-1]))
-            return out
-
-        return walk(r, self._res_shape)
+    def _res_pow(self, r: tuple, n: int) -> tuple:
+        out = self._res_one()
+        while n > 0:
+            if n & 1:
+                out = self._res_mul(out, r)
+            r = self._res_mul(r, r)
+            n >>= 1
+        return out
 
     def _poly_irreducible(self, residues: list) -> bool:
         """Irreducibility over the residue field for degrees up to four:
         no roots, and for quartics additionally no monic quadratic divisor."""
-        ring = self._res_ring
+        p = self.p
         d = len(residues)
-        elems, _ = self._residue_elements()
+        elems = self._residue_elements()
+        one = self._res_one()
+        zero = elems[0]
 
-        def value_at(t):
-            acc = ring.one()
-            for j in range(d - 1, -1, -1):
-                acc = ring.add(ring.mul(acc, t), residues[j])
-            return acc
+        def add(a, b, sign=1):
+            return tuple((x + sign * y) % p for x, y in zip(a, b))
 
         for t in elems:
-            if ring.is_zero(value_at(t)):
+            acc = one
+            for j in range(d - 1, -1, -1):
+                acc = add(self._res_mul(acc, t), residues[j])
+            if acc == zero:
                 return False
         if d == 4:
             for b in elems:
                 for c in elems:
                     # remainder of the quartic modulo x^2 + b x + c
                     # maintained as coefficients r1 x + r0 while dividing down
-                    coeffs = residues + [ring.one()]
-                    r = list(coeffs)
+                    r = list(residues) + [one]
                     for k in range(4, 1, -1):
                         lead = r[k]
-                        if ring.is_zero(lead):
+                        if lead == zero:
                             continue
-                        r[k] = ring.zero()
-                        r[k - 1] = ring.add(r[k - 1], ring.neg(ring.mul(lead, b)))
-                        r[k - 2] = ring.add(r[k - 2], ring.neg(ring.mul(lead, c)))
-                    if ring.is_zero(r[0]) and ring.is_zero(r[1]):
+                        r[k] = zero
+                        r[k - 1] = add(r[k - 1], self._res_mul(lead, b), -1)
+                        r[k - 2] = add(r[k - 2], self._res_mul(lead, c), -1)
+                    if r[0] == zero and r[1] == zero:
                         return False
         return True
 
-    def _to_residue(self, data):
-        """Residue of an integral element, in the residue tower coordinates."""
-        flat = self._flatten(data)
-        out = []
-        for idx, mono in enumerate(self._monomials):
-            if all(k == 0 or self.steps[i].kind == "unramified"
-                   for i, k in enumerate(mono)):
-                out.append(_frac_mod(flat[idx], self.p))
-        return self._res_unflatten(out)
+    def _to_residue(self, x: "PadicElement") -> tuple:
+        """Residue of an integral element."""
+        inv = pow(x.den, -1, self.p)
+        return tuple(x.nums[i] * inv % self.p for i in self._unram)
 
-    def _lift_residue(self, r):
-        flat = self._res_flatten(r)
-        coords = []
-        pos = 0
-        for idx, mono in enumerate(self._monomials):
-            if all(k == 0 or self.steps[i].kind == "unramified"
-                   for i, k in enumerate(mono)):
-                coords.append(Fraction(flat[pos]))
-                pos += 1
-            else:
-                coords.append(Fraction(0))
-        return self._unflatten(coords)
-
-    # -- element plumbing ---------------------------------------------------------
-
-    def _flatten(self, data) -> list:
-        def walk(x, level):
-            if level == 0:
-                return [x]
-            out = []
-            for part in x:
-                out.extend(walk(part, level - 1))
-            return out
-
-        return walk(data, len(self.steps))
-
-    def _unflatten(self, flat: Sequence):
-        items = list(flat)
-
-        def build(level):
-            if level == 0:
-                return items.pop(0)
-            d = len(self.steps[level - 1].coeffs)
-            return tuple(build(level - 1) for _ in range(d))
-
-        return build(len(self.steps))
-
-    def _from_rational(self, q: Fraction):
-        coords = [Fraction(0)] * len(self._monomials)
-        coords[0] = q
-        return self._unflatten(coords)
-
-    def _valuation_data(self, data):
-        flat = self._flatten(data)
-        best = inf
-        for a, w in zip(flat, self._weights):
-            if a != 0:
-                v = self.ramification_index * _vp(a, self.p) + w
-                if v < best:
-                    best = v
-        return best
+    def _lift_residue(self, r: tuple) -> "PadicElement":
+        nums = [0] * len(self._monomials)
+        for i, a in zip(self._unram, r):
+            nums[i] = a
+        return PadicElement(self, nums, 1)
 
     # -- public element constructors ------------------------------------------------
 
     def zero(self) -> "PadicElement":
-        return PadicElement(self, self._from_rational(Fraction(0)))
+        return self.rational(0)
 
     def one(self) -> "PadicElement":
-        return PadicElement(self, self._from_rational(Fraction(1)))
+        return self.rational(1)
 
     def integer(self, n: int) -> "PadicElement":
-        return PadicElement(self, self._from_rational(Fraction(n)))
+        return self.rational(n)
 
     def rational(self, q) -> "PadicElement":
-        return PadicElement(self, self._from_rational(Fraction(q)))
+        q = Fraction(q)
+        nums = [0] * len(self._monomials)
+        nums[0] = q.numerator
+        return PadicElement(self, nums, q.denominator)
 
     def gen(self, i: int) -> "PadicElement":
         """The generator adjoined at step i (zero-based)."""
         if not 0 <= i < len(self.steps):
             raise ValueError("no such step")
-        coords = [Fraction(0)] * len(self._monomials)
         target = tuple(1 if j == i else 0 for j in range(len(self.steps)))
-        coords[self._monomials.index(target)] = Fraction(1)
-        return PadicElement(self, self._unflatten(coords))
+        return self._monomial(self._monomials.index(target))
+
+    def _monomial(self, m: int) -> "PadicElement":
+        """The m-th monomial of the basis, as an element."""
+        return PadicElement(self, [int(k == m) for k in range(len(self._monomials))], 1)
 
     def from_coords(self, coords: Sequence) -> "PadicElement":
         vals = [Fraction(c) for c in coords]
         if len(vals) != len(self._monomials):
             raise ValueError("wrong number of coordinates")
-        return PadicElement(self, self._unflatten(vals))
+        den = lcm(*(c.denominator for c in vals))
+        return PadicElement(self, [int(c * den) for c in vals], den)
 
     def uniformizer(self) -> "PadicElement":
         for i in range(len(self.steps) - 1, -1, -1):
@@ -503,10 +367,9 @@ class LocalField:
         name = f"Q_{self.p}"
         for i, st in enumerate(self.steps):
             var = f"t{i + 1}"
-            parent = LocalField.make(self.p, self.steps[:i])
             terms = [f"{var}^{len(st.coeffs)}"]
             for j in range(len(st.coeffs) - 1, -1, -1):
-                c = PadicElement(parent, st.coeffs[j])
+                c = st.coeffs[j]
                 if c.is_zero():
                     continue
                 piece = c.as_string()
@@ -527,32 +390,37 @@ class LocalField:
 
 
 class PadicElement:
-    """An element of a LocalField with exact coordinates."""
+    """An element of a LocalField: integer numerators `nums` over the
+    monomial basis and a positive common denominator `den`, with
+    gcd(*nums, den) == 1."""
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: LocalField, data):
+    def __init__(self, field: LocalField, nums: Sequence[int], den: int):
+        g = gcd(*nums, den)
+        if den < 0:
+            g = -g
         self.field = field
-        self.data = data
-
-    def _ring(self):
-        return self.field._rings[len(self.field.steps)]
+        self.nums = tuple(a // g for a in nums) if g != 1 else tuple(nums)
+        self.den = den // g
 
     def _coerce(self, other) -> "PadicElement":
         if isinstance(other, PadicElement):
             if other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        return self.field.rational(Fraction(other))
+        return self.field.rational(other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return PadicElement(self.field, self._ring().add(self.data, o.data))
+        return PadicElement(self.field,
+                            [a * o.den + b * self.den for a, b in zip(self.nums, o.nums)],
+                            self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicElement(self.field, self._ring().neg(self.data))
+        return PadicElement(self.field, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -562,7 +430,9 @@ class PadicElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return PadicElement(self.field, self._ring().mul(self.data, o.data))
+        field = self.field
+        return PadicElement(field, _contract(field._table, self.nums, o.nums),
+                            self.den * o.den * field._table_den)
 
     __rmul__ = __mul__
 
@@ -585,45 +455,40 @@ class PadicElement:
         return out
 
     def inverse(self) -> "PadicElement":
-        cached = self.field._inv_cache.get(self.data)
+        field = self.field
+        key = (self.nums, self.den)
+        cached = field._inv_cache.get(key)
         if cached is not None:
-            return PadicElement(self.field, cached)
+            return cached
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        ring = self._ring()
-        n = len(field._monomials)
-        cols = []
-        for m in range(n):
-            coords = [Fraction(0)] * n
-            coords[m] = Fraction(1)
-            basis = field._unflatten(coords)
-            cols.append(field._flatten(ring.mul(self.data, basis)))
-        # solve M y = e_0 over the rationals
-        a = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-             for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("element is a zero divisor; tower invalid")
-            a[col], a[piv] = a[piv], a[col]
-            scale = 1 / a[col][col]
-            a[col] = [x * scale for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        y = [a[i][n] for i in range(n)]
-        data = field._unflatten(y)
-        self.field._inv_cache[self.data] = data
-        return PadicElement(field, data)
+        # column j of M holds the numerators of self * m_j, so multiplication
+        # by self is M / (den * table_den) and the inverse's coordinates y
+        # solve M y = den * table_den * e_0
+        n = len(self.nums)
+        cols = [_contract(field._table, self.nums, field._monomial(j).nums) for j in range(n)]
+        X, d = _bareiss(list(zip(*cols)), [[int(k == 0)] for k in range(n)])
+        if d == 0:
+            raise ZeroDivisionError("element is a zero divisor; tower invalid")
+        scale = self.den * field._table_den
+        inv = PadicElement(field, [scale * row[0] for row in X], d)
+        field._inv_cache[key] = inv
+        return inv
 
     def is_zero(self) -> bool:
-        return self._ring().is_zero(self.data)
+        return not any(self.nums)
 
     def valuation(self):
         """Normalized so the uniformizer has valuation one; inf for zero."""
-        return self.field._valuation_data(self.data)
+        field = self.field
+        p = field.p
+        best = inf
+        for a, w in zip(self.nums, field._weights):
+            if a:
+                best = min(best, field.ramification_index * _vp(a, p) + w)
+        if best is inf:
+            return inf
+        return best - field.ramification_index * _vp(self.den, p)
 
     def is_integral(self) -> bool:
         return self.valuation() >= 0
@@ -632,7 +497,7 @@ class PadicElement:
         return self.valuation() == 0
 
     def coords(self) -> tuple:
-        return tuple(self.field._flatten(self.data))
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def as_string(self) -> str:
         parts = []
@@ -649,12 +514,15 @@ class PadicElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(Fraction(other))
-        return (isinstance(other, PadicElement)
-                and self.field == other.field and self.data == other.data)
+            other = self.field.rational(other)
+        return (isinstance(other, PadicElement) and self.field == other.field
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        # equal to the hash of the rational it equals, as __eq__ requires
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"PadicElement({self.as_string()} in {self.field.describe()})"
@@ -675,12 +543,8 @@ def embed(x: PadicElement, L: LocalField) -> PadicElement:
         return x
     if L.p != K.p or L.steps[:len(K.steps)] != K.steps:
         raise ValueError("target is not a tower extension of the element's field")
-    data = x.data
-    for level in range(len(K.steps), len(L.steps)):
-        zero_sub = L._rings[level].zero()
-        d = len(L.steps[level].coeffs)
-        data = tuple([data] + [zero_sub] * (d - 1))
-    return PadicElement(L, data)
+    # the monomials of K are the first ones of L
+    return PadicElement(L, x.nums + (0,) * (len(L._monomials) - len(x.nums)), x.den)
 
 
 def is_square(x: PadicElement) -> bool:
@@ -693,11 +557,12 @@ def is_square(x: PadicElement) -> bool:
     v(y^2 - u) > 2 v(2), since 1 + pi^(2 v(2) + 1) O consists of squares.
     """
     field = x.field
-    cached = field._square_cache.get(x.data)
+    key = (x.nums, x.den)
+    cached = field._square_cache.get(key)
     if cached is not None:
         return cached
     result = _is_square_uncached(x)
-    field._square_cache[x.data] = result
+    field._square_cache[key] = result
     return result
 
 
@@ -710,14 +575,13 @@ def _is_square_uncached(x: PadicElement) -> bool:
         return False
     u = x / field.uniformizer() ** v if v else x
     q = field.p ** field.residue_degree
-    ring = field._res_ring
-    r = field._to_residue(u.data)
+    r = field._to_residue(u)
     if field.p != 2:
-        return _ring_pow(ring, r, (q - 1) // 2) == ring.one()
+        return field._res_pow(r, (q - 1) // 2) == field._res_one()
 
     e2 = field.ramification_index  # v(2) in this normalization
-    sbar = _ring_pow(ring, r, q // 2)  # the unique square root in characteristic 2
-    s = PadicElement(field, field._lift_residue(sbar))
+    sbar = field._res_pow(r, q // 2)  # the unique square root in characteristic 2
+    s = field._lift_residue(sbar)
     pi = field.uniformizer()
     threshold = 2 * e2 + 1
 
@@ -730,11 +594,24 @@ def _is_square_uncached(x: PadicElement) -> bool:
             t += 1
         ranges.append(range(2 ** t))
     for assignment in product(*ranges):
-        z = field.from_coords([Fraction(a) for a in assignment])
+        z = PadicElement(field, assignment, 1)
         y = s * (field.one() + pi * z)
         if (y * y - u).valuation() >= threshold:
             return True
     return False
+
+
+def _det(m: list) -> PadicElement:
+    """Determinant by cofactor expansion; sizes here never exceed the step degree."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0].field.zero()
+    for j, a in enumerate(m[0]):
+        if a.is_zero():
+            continue
+        term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
@@ -743,22 +620,23 @@ def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
         raise ValueError("element does not belong to L")
     if L.p != K.p or L.steps[:len(K.steps)] != K.steps:
         raise ValueError("K is not a prefix of the tower defining L")
-    data = x.data
-    level = len(L.steps)
-    while level > len(K.steps):
-        ring = L._rings[level]
-        sub = L._rings[level - 1]
-        d = len(L.steps[level - 1].coeffs)
-        gen = tuple(sub.one() if i == 1 else sub.zero() for i in range(d))
-        power = ring.one()
+    while len(x.field.steps) > len(K.steps):
+        # the determinant, over the parent, of multiplication by x on the
+        # basis 1, t, ..., t^(d-1) of the last step; the parent coefficient
+        # of t^l is the l-th block of n coordinates
+        F = x.field
+        P = F.parent()
+        d = len(F.steps[-1].coeffs)
+        n = len(P._monomials)
+        t = F.gen(len(F.steps) - 1)
         cols = []
+        y = x
         for _ in range(d):
-            cols.append(ring.mul(data, power))
-            power = ring.mul(power, gen)
-        matrix = [[cols[j][i] for j in range(d)] for i in range(d)]
-        data = _ring_det(sub, matrix)
-        level -= 1
-    return PadicElement(LocalField.make(L.p, L.steps[:len(K.steps)]), data)
+            cols.append([PadicElement(P, y.nums[l * n:(l + 1) * n], y.den)
+                         for l in range(d)])
+            y = y * t
+        x = _det(cols)
+    return x
 
 
 def square_class_group(K: LocalField) -> list[PadicElement]:
@@ -790,16 +668,12 @@ def square_class_group(K: LocalField) -> list[PadicElement]:
     one = K.one()
     for j in range(1, 2 * e2 + 2):
         for m in range(len(K._monomials)):
-            coords = [Fraction(0)] * len(K._monomials)
-            coords[m] = Fraction(1)
-            b = K.from_coords(coords)
-            pool.append(one + pi ** j * b)
+            pool.append(one + pi ** j * K._monomial(m))
     if K.p != 2:
         # exhaustive backstop: lifts of every residue; for odd p a unit is a
         # square exactly when its residue is, so this pool always spans
-        elems, _ = K._residue_elements()
-        for r in elems:
-            pool.append(PadicElement(K, K._lift_residue(r)))
+        for r in K._residue_elements():
+            pool.append(K._lift_residue(r))
 
     basis: list[PadicElement] = []
     for cand in pool:

@@ -66,7 +66,7 @@ class ChateletSurface:
                 raise ValueError("roots must live in the base field")
             if e.is_zero():
                 raise ValueError("roots must be nonzero")
-        if len({e.data for e in roots}) != len(roots):
+        if len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct")
 
     @property

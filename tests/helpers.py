@@ -4,9 +4,13 @@ Random modules are drawn from a library of constructions that are valid by
 construction (trivial modules, coset permutation modules, index-two sign
 twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
+
+`reference_mul` is an independent product for p-adic towers that the tests
+compare the library's structure-constant tables against.
 """
 
 import random
+from fractions import Fraction
 
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
 from chatelet.intmat import IntMatrix
@@ -17,6 +21,7 @@ from chatelet.modules import (
     permutation_module,
     trivial_module,
 )
+from chatelet.padic import LocalField
 
 
 def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets") -> GModule:
@@ -74,3 +79,94 @@ def random_cocycle(coh, rng: random.Random):
     """A random honest cocycle (degree one) drawn through the coordinates."""
     coords = [rng.randrange(d) if d else rng.randint(-2, 2) for d in coh.invariants]
     return coh.cocycle_from_coords(coords), tuple(coords)
+
+
+# -- reference multiplication for p-adic towers -----------------------------------
+# Elements as nested tuples, the outermost level being the last step; a product
+# is a polynomial product followed by reduction by each monic step polynomial.
+
+
+class _FractionRing:
+    def zero(self):
+        return Fraction(0)
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+
+class _QuotientRing:
+    """sub[x] / (x^d + c_{d-1} x^{d-1} + ... + c_0), elements as tuples."""
+
+    def __init__(self, sub, coeffs: tuple):
+        self.sub = sub
+        self.coeffs = coeffs
+        self.deg = len(coeffs)
+
+    def zero(self):
+        return tuple(self.sub.zero() for _ in range(self.deg))
+
+    def add(self, a, b):
+        return tuple(self.sub.add(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.sub.neg(x) for x in a)
+
+    def mul(self, a, b):
+        d = self.deg
+        conv = [self.sub.zero() for _ in range(2 * d - 1)]
+        for i, x in enumerate(a):
+            if self.sub.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                conv[i + j] = self.sub.add(conv[i + j], self.sub.mul(x, y))
+        # reduce by the monic modulus, top down
+        for k in range(2 * d - 2, d - 1, -1):
+            c = conv[k]
+            if self.sub.is_zero(c):
+                continue
+            conv[k] = self.sub.zero()
+            for j, m in enumerate(self.coeffs):
+                conv[k - d + j] = self.sub.add(conv[k - d + j],
+                                               self.sub.neg(self.sub.mul(c, m)))
+        return tuple(conv[:d])
+
+    def is_zero(self, a) -> bool:
+        return all(self.sub.is_zero(x) for x in a)
+
+
+def _unflatten(field: LocalField, flat):
+    items = list(flat)
+
+    def build(level):
+        if level == 0:
+            return items.pop(0)
+        d = len(field.steps[level - 1].coeffs)
+        return tuple(build(level - 1) for _ in range(d))
+
+    return build(len(field.steps))
+
+
+def _flatten(data, level: int) -> list:
+    if level == 0:
+        return [data]
+    return [c for part in data for c in _flatten(part, level - 1)]
+
+
+def reference_mul(x, y) -> tuple:
+    """Coordinates of x * y by the recursive nested-tuple product."""
+    field = x.field
+    ring = _FractionRing()
+    for level, st in enumerate(field.steps):
+        below = LocalField.make(field.p, field.steps[:level])
+        ring = _QuotientRing(ring, tuple(_unflatten(below, c.coords()) for c in st.coeffs))
+    nested = ring.mul(_unflatten(field, x.coords()), _unflatten(field, y.coords()))
+    return tuple(_flatten(nested, len(field.steps)))

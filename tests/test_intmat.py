@@ -3,13 +3,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
+    _bareiss,
     block_diagonal,
     cokernel_structure,
     hstack,
@@ -138,12 +139,12 @@ def test_solve_unsolvable():
 
 def test_unimodular_inverse():
     rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(1, 5)
+    sizes = chain((rng.randint(1, 5) for _ in range(40)), range(6, 17))
+    for n in sizes:
         # random unimodular matrix as a product of elementary operations
         M = IntMatrix.identity(n)
         rows = [list(r) for r in M.rows]
-        for _ in range(12):
+        for _ in range(12 if n <= 5 else 4 * n):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
                 c = rng.randint(-3, 3)
@@ -156,6 +157,24 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix([[1, 1], [1, 1]]))
+    singular = random_matrix(rng, 6, 6).rows
+    with pytest.raises(ValueError, match="singular"):
+        unimodular_inverse(IntMatrix(singular[:5] + (tuple(2 * x for x in singular[0]),)))
+
+    # the shared solve itself: A X = d B with d = det(A), for A not unimodular
+    A = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    B = IntMatrix([[1, 0], [0, 5], [-2, 1]])
+    X, d = _bareiss(A.rows, B.rows)
+    assert d == A.det() == 18
+    assert A @ IntMatrix(X) == B.scale(d)
+    for n in range(1, 9):
+        A = random_matrix(rng, n, n)
+        B = random_matrix(rng, n, 2)
+        X, d = _bareiss(A.rows, B.rows)
+        assert d == A.det()
+        if d:
+            assert A @ IntMatrix(X, ncols=2) == B.scale(d)
+    assert _bareiss([[1, 2], [2, 4]], [[1], [0]]) == ([], 0)
 
 
 def test_det_matches_fraction_elimination():

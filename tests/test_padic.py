@@ -3,16 +3,20 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chatelet.padic import (
     LocalField,
     PadicElement,
+    embed,
     is_square,
     norm,
     square_class,
     square_class_group,
     valuation,
 )
+from helpers import reference_mul
 
 
 def test_base_field_arithmetic():
@@ -338,3 +342,109 @@ def test_field_interning_and_equality():
     assert a != c
     with pytest.raises(ValueError):
         a.one() + c.one()
+
+
+# -- degree-6 and degree-8 dyadic towers -----------------------------------------
+
+Q2 = LocalField.qp(2)
+# degree 6: unramified cubic, then an Eisenstein step whose constant term
+# has a denominator prime to p, so the structure constants do too
+DEG6 = Q2.extend_unramified([1, 1, 0]).extend_eisenstein([Fraction(-2, 3), 0])
+_MID = Q2.extend_eisenstein([-2, 0]).extend_unramified([1, 1])
+# degree 8: Eisenstein, unramified over it, then Eisenstein over that
+DEG8 = _MID.extend_eisenstein([-_MID.gen(0), 2])
+TOWERS = [DEG6, DEG8]
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    for field in [LocalField.qp(5).extend_eisenstein([-5, 0]), DEG8]:
+        x = field.integer(3)
+        assert x == 3
+        assert len({x, 3}) == 1
+        assert len({field.rational(Fraction(-1, 2)), Fraction(-1, 2)}) == 1
+        assert len({field.zero(), 0}) == 1
+        assert len({field.gen(0), field.gen(0) * 2 / 2}) == 1
+
+
+def test_inverse_of_zero_raises():
+    q3 = LocalField.qp(3)
+    for field in [q3, q3.extend_unramified([1, 0]).extend_eisenstein([-3, 0])]:
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            field.one() / field.zero()
+
+
+def _elements(data, field, count):
+    n = len(field._monomials)
+    nums = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    dens = st.sampled_from([1, 2, 3, 4, 6, 9])
+    element = st.builds(lambda a, d: field.from_coords([Fraction(x, d) for x in a]),
+                        nums, dens)
+    return [data.draw(element) for _ in range(count)]
+
+
+towers = pytest.mark.parametrize("field", TOWERS, ids=["deg6", "deg8"])
+examples = settings(max_examples=25, deadline=None)
+
+
+def test_tower_shapes():
+    assert (DEG6.degree, DEG6.ramification_index, DEG6.residue_degree) == (6, 2, 3)
+    assert (DEG8.degree, DEG8.ramification_index, DEG8.residue_degree) == (8, 4, 2)
+
+
+@towers
+@examples
+@given(data=st.data())
+def test_product_matches_reference(field, data):
+    x, y = _elements(data, field, 2)
+    assert (x * y).coords() == reference_mul(x, y)
+
+
+@towers
+@examples
+@given(data=st.data())
+def test_ring_axioms(field, data):
+    x, y, z = _elements(data, field, 3)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+
+
+@towers
+@examples
+@given(data=st.data())
+def test_inverse_with_denominators(field, data):
+    [x] = _elements(data, field, 1)
+    assume(not x.is_zero())
+    assert x * x.inverse() == 1
+
+
+@towers
+@examples
+@given(data=st.data())
+def test_norm_multiplicative_in_towers(field, data):
+    x, y = _elements(data, field, 2)
+    for base in (Q2, field.parent()):
+        assert norm(field, base, x * y) == norm(field, base, x) * norm(field, base, y)
+
+
+@towers
+def test_generators_satisfy_minimal_polynomials(field):
+    for i, step in enumerate(field.steps):
+        g = field.gen(i)
+        value = g ** len(step.coeffs)
+        for j, c in enumerate(step.coeffs):
+            value = value + embed(c, field) * g ** j
+        assert value.is_zero()
+
+
+@towers
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_squares_and_uniformizer_twists(field, data):
+    [x] = _elements(data, field, 1)
+    assume(not x.is_zero())
+    pi = field.uniformizer()
+    assert is_square(x * x)
+    assert not is_square(pi * x * x)

@@ -42,6 +42,11 @@ def test_surface_validation():
     with pytest.raises(ValueError):
         ChateletSurface(Q5, LocalField.qp(3).integer(2),
                         tuple(Q5.integer(e) for e in (1, 2, 3, 4)))
+    ram = Q5.extend_eisenstein([-5, 0])
+    t = ram.gen(0)
+    assert ChateletSurface(ram, ram.integer(2), (t, t + 1, t + 2, ram.integer(2))).half_degree == 2
+    with pytest.raises(ValueError):
+        ChateletSurface(ram, ram.integer(2), (t, t + 1, t * 3 / 3, ram.integer(2)))
 
 
 def test_picard_module_and_brauer_group():
