@@ -681,21 +681,10 @@ def _build_rational_surface(spec, path, errors):
 
 
 def _report_dict(report, trace):
-    data = {
-        "type": "analyze",
-        "base": report.base,
-        "extension": report.extension,
-        "degree": report.degree,
-        "half_degree": report.half_degree,
-        "degenerate": report.degenerate,
-        "brauer_invariants": (None if report.brauer_invariants is None
-                              else list(report.brauer_invariants)),
-        "verdicts": dict(report.verdicts),
-    }
-    if trace:
-        data["rule_trace"] = list(report.rule_trace)
-        data["assumptions"] = list(report.assumptions)
-        data["conventions"] = list(report.conventions)
+    data = {"type": "analyze", **report.as_dict()}
+    if not trace:
+        for key in ("rule_trace", "assumptions", "conventions"):
+            del data[key]
     return data
 
 

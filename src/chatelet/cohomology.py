@@ -160,15 +160,8 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
                                to_ambient=lambda c: (),
                                from_ambient=lambda u: {G.identity: (0,) * r})
 
-    def selector(t: int) -> IntMatrix:
-        rows = [[0] * u_dim for _ in range(r)]
-        for i in range(r):
-            rows[i][t * r + i] = 1
-        return IntMatrix(rows, ncols=u_dim)
-
-    sels = [selector(t) for t in range(ns)]
-
-    # expression matrices: c(g) = E_g . u where u stacks the values on gens
+    # expression matrices: c(g) = E_g . u where u stacks the values on gens;
+    # c(g s_t) = c(g) + g . c(s_t) adds the action of g into column block t
     from collections import deque
 
     exprs: dict[int, IntMatrix] = {G.identity: IntMatrix.zeros(r, u_dim)}
@@ -178,7 +171,11 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
         g = queue.popleft()
         for t, s in enumerate(gens):
             gs = G.mul(g, s)
-            expr = exprs[g] + M.act(g) @ sels[t]
+            rows = [list(row) for row in exprs[g].rows]
+            lo = t * r
+            for row, act_row in zip(rows, M.act(g).rows):
+                row[lo:lo + r] = [a + b for a, b in zip(row[lo:lo + r], act_row)]
+            expr = IntMatrix(rows, ncols=u_dim)
             known = exprs.get(gs)
             if known is None:
                 exprs[gs] = expr
@@ -215,41 +212,6 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
 
     def from_ambient(u: Sequence[int]) -> dict[int, Vector]:
         return {g: expr_table[g].apply(u) for g in G.elements()}
-
-    return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
-
-
-def h1_cyclic(G: FiniteGroup, M: GModule) -> CohomologyGroup:
-    """Independent H^1 for cyclic groups: kernel of the norm over the image
-    of (generator - 1).  Used as an oracle against the general machinery."""
-    if M.group != G:
-        raise ValueError("module is not over the given group")
-    n = G.order
-    sigma = next((g for g in G.elements() if G.element_order(g) == n), None)
-    if sigma is None:
-        raise ValueError("group is not cyclic")
-    r = M.rank
-    powers = [G.power(sigma, k) for k in range(n)]
-    norm = IntMatrix.zeros(r, r)
-    for g in powers:
-        norm = norm + M.act(g)
-    numerator = solution_lattice(r, [(norm, M.relations)])
-    diff = M.act(sigma) - IntMatrix.identity(r)
-    denominator = [diff.col(j) for j in range(r)] + [tuple(rel) for rel in M.relations]
-    subq = LatticeSubquotient(r, numerator, denominator)
-
-    def to_ambient(cocycle: Cocycle) -> Vector:
-        _identity_cocycle_check(G, cocycle, r)
-        return tuple(cocycle[sigma])
-
-    def from_ambient(a: Sequence[int]) -> dict[int, Vector]:
-        out: dict[int, Vector] = {}
-        acc = [0] * r
-        for k in range(n):
-            out[powers[k]] = tuple(acc)
-            step = M.act(powers[k]).apply(a)
-            acc = [x + y for x, y in zip(acc, step)]
-        return out
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
 

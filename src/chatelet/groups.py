@@ -43,15 +43,16 @@ class FiniteGroup:
             if inv[g] is None:
                 raise ValueError(f"element {g} has no inverse")
         self._inv = tuple(inv)
-        # associativity is cubic in the order; skip it for big tables, the
-        # constructors below always produce valid groups
-        if check and n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    ab = self.table[a][b]
-                    for c in range(n):
-                        if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                            raise ValueError("table is not associative")
+        if check:
+            # Light's test: (x a) y = x (a y) for every generator a implies it
+            # for every product of generators, so it costs O(n^2 |gens|)
+            t = self.table
+            for a in self.generating_set():
+                ta = t[a]
+                for x in range(n):
+                    row_xa, row_x = t[t[x][a]], t[x]
+                    if any(row_xa[y] != row_x[ay] for y, ay in enumerate(ta)):
+                        raise ValueError("table is not associative")
 
     @property
     def order(self) -> int:

@@ -481,12 +481,10 @@ class LatticeSubquotient:
         num = IntMatrix.from_columns(numerator_gens, nrows=ambient_dim)
         dec_num = smith_normal_form(num)
         r = dec_num.rank
-        u_inv = unimodular_inverse(dec_num.U)
-        diag = dec_num.diagonal
-        # Columns of the numerator lattice basis: d_i * (column i of U^-1).
-        self._basis = IntMatrix.from_columns(
-            [tuple(diag[i] * u_inv.rows[k][i] for k in range(ambient_dim)) for i in range(r)],
-            nrows=ambient_dim)
+        # U num V = S gives num V = U^-1 S: the first r columns of num V are
+        # d_i * (column i of U^-1), a basis of the numerator lattice.
+        self._basis = IntMatrix.from_columns((num @ dec_num.V).columns()[:r],
+                                             nrows=ambient_dim)
         self._basis_dec = smith_normal_form(self._basis)
 
         den_cols = []

@@ -639,6 +639,19 @@ def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
     return x
 
 
+def _square_mask(x: PadicElement, basis: Sequence[PadicElement]) -> int | None:
+    """The first mask (bit i selects basis[i]) for which x times the selected
+    basis elements is a square, or None when no product is."""
+    for mask in range(2 ** len(basis)):
+        prod_elem = x
+        for i in range(len(basis)):
+            if mask >> i & 1:
+                prod_elem = prod_elem * basis[i]
+        if is_square(prod_elem):
+            return mask
+    return None
+
+
 def square_class_group(K: LocalField) -> list[PadicElement]:
     """Representatives generating K* / (K*)^2 (independent square classes).
 
@@ -681,16 +694,7 @@ def square_class_group(K: LocalField) -> list[PadicElement]:
             break
         if cand.is_zero():
             continue
-        independent = True
-        for mask in range(2 ** len(basis)):
-            prod_elem = cand
-            for i in range(len(basis)):
-                if mask >> i & 1:
-                    prod_elem = prod_elem * basis[i]
-            if is_square(prod_elem):
-                independent = False
-                break
-        if independent:
+        if _square_mask(cand, basis) is None:
             basis.append(cand)
     if len(basis) != target_bits:
         raise RuntimeError("square class search did not reach the expected size")
@@ -703,11 +707,7 @@ def square_class(K: LocalField, x: PadicElement) -> tuple[int, ...]:
     if x.is_zero():
         raise ValueError("zero has no square class")
     basis = square_class_group(K)
-    for mask in range(2 ** len(basis)):
-        prod_elem = x
-        for i in range(len(basis)):
-            if mask >> i & 1:
-                prod_elem = prod_elem * basis[i]
-        if is_square(prod_elem):
-            return tuple(mask >> i & 1 for i in range(len(basis)))
-    raise RuntimeError("element did not match any square class")
+    mask = _square_mask(x, basis)
+    if mask is None:
+        raise RuntimeError("element did not match any square class")
+    return tuple(mask >> i & 1 for i in range(len(basis)))

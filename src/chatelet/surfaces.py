@@ -6,14 +6,16 @@ quantity of interest is how the degree-zero point classes and the associated
 degree-two descent cohomology behave under restriction to a field extension
 and under the corestriction back down.
 
-For half degree two the cohomology side is computed with the exact engine:
-the descent group is the two-element group acting on a rank-two lattice by
-sign, restriction along a linearly disjoint extension is the identity on
-one-cocycles, corestriction multiplies by the extension degree, and the
-point-class verdicts are read off as exact duals (the local pairing between
-point classes and the descent quotient is perfect).  Everything else is
-derived from stated parity rules, and every step taken is recorded by name
-in the report's rule trace.
+An analysis has three stages.  `analyze_local` and `analyze_global` settle
+the evidence: the extension degree, and whether d becomes a square over the
+extension (decided exactly over a p-adic base; over Q only from sound
+evidence, otherwise left unknown).  One rule function, `_rules`, turns that
+evidence into verdicts.  For half degree two, restriction and corestriction
+on the (Z/2)^2 descent classes are computed with the exact engine: the
+identity and multiplication by the degree.  Where the pairing between point
+classes and descent classes is perfect (a p-adic base) the point-class
+verdicts are their Pontryagin duals; otherwise only parity rules apply.  One
+constructor then builds the report, whose rule trace names every step.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .cohomology import CohMap, CohomologyGroup, dual_map, h1
+from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
 from .modules import GModule, chatelet_picard_module
-from .padic import LocalField, PadicElement, embed, is_square, square_class
+from .padic import LocalField, PadicElement, embed, is_square
 
 
 _CONVENTIONS = (
@@ -112,36 +114,32 @@ def brauer_h1(surface) -> CohomologyGroup:
     return h1(module.group, module)
 
 
-def _identity_map(coh: CohomologyGroup) -> CohMap:
-    n = len(coh.invariants)
-    return CohMap(coh, coh, IntMatrix.identity(n), kind="restriction")
+def _descent_maps(surface, n: int) -> tuple[CohMap, CohMap]:
+    """Restriction (the identity) and corestriction (multiplication by the
+    degree n) on the descent classes, along an extension that keeps d a
+    nonsquare."""
+    coh = brauer_h1(surface)
+    eye = IntMatrix.identity(len(coh.invariants))
+    return (CohMap(coh, coh, eye, kind="restriction"),
+            CohMap(coh, coh, eye.scale(n), kind="corestriction"))
 
 
-def _scaling_map(coh: CohomologyGroup, n: int) -> CohMap:
-    k = len(coh.invariants)
-    return CohMap(coh, coh, IntMatrix.identity(k).scale(n), kind="corestriction")
+def _nondegenerate_degree(surface: ChateletSurface, L: LocalField) -> int:
+    n = _extension_degree(surface.base, L)
+    if is_square(embed(surface.d, L)):
+        raise ValueError("d becomes a square over L; the descent group collapses")
+    return n
 
 
 def restriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Restriction of descent classes along L; requires d to stay a nonsquare,
     which keeps the degree-two descent group intact over L."""
-    _extension_degree(surface.base, L)
-    if is_square(embed(surface.d, L)):
-        raise ValueError("d becomes a square over L; the descent group collapses")
-    return _identity_map(brauer_h1(surface))
+    return _descent_maps(surface, _nondegenerate_degree(surface, L))[0]
 
 
 def corestriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Corestriction back down from L: multiplication by the extension degree."""
-    n = _extension_degree(surface.base, L)
-    if is_square(embed(surface.d, L)):
-        raise ValueError("d becomes a square over L; the descent group collapses")
-    # cheap exactness cross-check on the base field: the class of d^n is
-    # trivial exactly when the degree is even
-    cls = square_class(surface.base, surface.d ** n)
-    if (all(c == 0 for c in cls)) != (n % 2 == 0):
-        raise RuntimeError("square-class bookkeeping disagrees with degree parity")
-    return _scaling_map(brauer_h1(surface), n)
+    return _descent_maps(surface, _nondegenerate_degree(surface, L))[1]
 
 
 def _extension_degree(base: LocalField, L: LocalField) -> int:
@@ -200,67 +198,108 @@ _H1_COR = "h1_corestriction"
 _CHOW_RES = "chow_restriction"
 _CHOW_COR = "chow_corestriction"
 
+# Pontryagin duality of finite abelian groups: the dual of an injective map is
+# surjective and the other way round; zero and bijective maps stay so, and a
+# map that is neither has a dual that is neither.
+_DUAL_VERDICT = {"ZERO": "ZERO", "INJECTIVE": "SURJECTIVE", "SURJECTIVE": "INJECTIVE",
+                 "BIJECTIVE": "BIJECTIVE", "NEITHER": "NEITHER"}
 
-def analyze_local(surface: ChateletSurface, L: LocalField) -> AnalysisReport:
-    """Full verdict report for restriction to L and corestriction back."""
-    n = _extension_degree(surface.base, L)
-    degenerate = is_square(embed(surface.d, L))
+_KILLED_BY_TWO = ("point classes of these surfaces are killed by two; "
+                  "only the composite of the two maps is used")
+
+
+def _rules(rank_two: bool, degenerate, odd: bool, perfect: bool, h1_verdicts):
+    """Verdicts, rule trace and assumptions from settled evidence.
+
+    `rank_two` says the half degree is two, `degenerate` is True, False or
+    None (unsettled), `odd` is the parity of the extension degree and
+    `perfect` says the pairing between point classes and descent classes is
+    perfect (a p-adic base).  `h1_verdicts` are the verdicts of restriction
+    and corestriction on the descent classes, given exactly when the half
+    degree is two and the extension is known not to be degenerate.
+
+    The trace lines and the assumption that depend on `perfect` keep the
+    report shapes each mode has always produced; tests pin all of them.
+    """
     trace: list = []
     assumptions: list = []
-    verdicts: dict = {}
-    brauer_invariants = None
-
-    if surface.half_degree == 2:
-        coh = brauer_h1(surface)
-        brauer_invariants = coh.invariants
-        if degenerate:
-            if n % 2 != 0:
-                raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
-            trace.append("degenerate_base_change")
+    if not rank_two and (perfect or (degenerate is False and odd)):
+        assumptions.append(_KILLED_BY_TWO)
+    if degenerate is None:
+        h1_res = h1_cor = chow_res = chow_cor = "UNKNOWN"
+    elif degenerate:
+        h1_res = h1_cor = "ZERO" if rank_two else "NOT_COMPUTED"
+        chow_res, chow_cor = "ZERO", "INJECTIVE"
+        if rank_two or not perfect:
             trace.append("split_surface_has_no_point_class_kernel")
-            verdicts = {_H1_RES: "ZERO", _H1_COR: "ZERO",
-                        _CHOW_RES: "ZERO", _CHOW_COR: "INJECTIVE"}
-        else:
-            trace.append("nonsquare_class_survives_extension")
-            res = restriction_on_h1(surface, L)
-            cor = corestriction_on_h1(surface, L)
+    else:
+        if rank_two:
+            h1_res, h1_cor = h1_verdicts
             trace.append("restriction_acts_as_identity_on_descent_classes")
             trace.append("corestriction_multiplies_by_extension_degree")
-            chow_cor = dual_map(res)
-            chow_res = dual_map(cor)
-            trace.append("point_class_maps_are_exact_duals_of_descent_maps")
-            verdicts = {_H1_RES: _verdict(res), _H1_COR: _verdict(cor),
-                        _CHOW_RES: _verdict(chow_res), _CHOW_COR: _verdict(chow_cor)}
-    else:
-        assumptions.append("point classes of these surfaces are killed by two; "
-                           "only the composite of the two maps is used")
-        verdicts[_H1_RES] = "NOT_COMPUTED"
-        verdicts[_H1_COR] = "NOT_COMPUTED"
-        if degenerate:
-            trace.append("degenerate_base_change")
-            verdicts[_CHOW_RES] = "ZERO"
-            verdicts[_CHOW_COR] = "INJECTIVE"
-        elif n % 2 == 1:
-            trace.append("odd_degree_composite_is_identity_on_exponent_two")
-            verdicts[_CHOW_RES] = "INJECTIVE"
-            verdicts[_CHOW_COR] = "SURJECTIVE"
         else:
-            trace.append("even_degree_parity_gives_no_conclusion")
-            verdicts[_CHOW_RES] = "UNKNOWN"
-            verdicts[_CHOW_COR] = "UNKNOWN"
+            h1_res = h1_cor = "NOT_COMPUTED"
+        if rank_two and perfect:
+            chow_res, chow_cor = _DUAL_VERDICT[h1_cor], _DUAL_VERDICT[h1_res]
+            trace.append("point_class_maps_are_exact_duals_of_descent_maps")
+        elif odd:
+            chow_res, chow_cor = "INJECTIVE", "SURJECTIVE"
+            trace.append("odd_degree_composite_is_identity_on_exponent_two")
+        else:
+            chow_res = chow_cor = "UNKNOWN"
+            if rank_two:
+                trace.append("global_pairing_not_assumed_perfect")
+            elif perfect:
+                trace.append("even_degree_parity_gives_no_conclusion")
+    verdicts = {_H1_RES: h1_res, _H1_COR: h1_cor,
+                _CHOW_RES: chow_res, _CHOW_COR: chow_cor}
+    return verdicts, trace, assumptions
 
+
+def _report(surface, base: str, extension: str, n: int, degenerate, perfect: bool,
+            trace: list, assumptions: list) -> AnalysisReport:
+    """Apply the rules to the evidence and assemble the report."""
+    rank_two = surface.half_degree == 2
+    brauer_invariants = h1_verdicts = None
+    if rank_two and degenerate is not None:
+        res, cor = _descent_maps(surface, n)
+        brauer_invariants = res.source.invariants
+        if not degenerate:
+            h1_verdicts = (_verdict(res), _verdict(cor))
+    verdicts, rule_trace, rule_assumptions = _rules(
+        rank_two, degenerate, n % 2 == 1, perfect, h1_verdicts)
     return AnalysisReport(
-        base=surface.base.describe(),
-        extension=L.describe(),
+        base=base,
+        extension=extension,
         degree=n,
         half_degree=surface.half_degree,
         degenerate=degenerate,
         brauer_invariants=brauer_invariants,
         verdicts=verdicts,
-        rule_trace=trace,
-        assumptions=assumptions,
+        rule_trace=trace + rule_trace,
+        assumptions=assumptions + rule_assumptions,
         conventions=list(_CONVENTIONS),
     )
+
+
+def analyze_local(surface: ChateletSurface, L: LocalField) -> AnalysisReport:
+    """Full verdict report for restriction to L and corestriction back.
+
+    Over a p-adic base the evidence is complete: whether d becomes a square
+    over L is decided exactly, and the local pairing is perfect.
+    """
+    n = _extension_degree(surface.base, L)
+    degenerate = is_square(embed(surface.d, L))
+    if degenerate:
+        if n % 2 != 0:
+            raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
+        trace = ["degenerate_base_change"]
+    elif surface.half_degree == 2:
+        trace = ["nonsquare_class_survives_extension"]
+    else:
+        trace = []
+    return _report(surface, surface.base.describe(), L.describe(), n, degenerate,
+                   True, trace, [])
 
 
 def analyze_global(surface: RationalChateletSurface, degree: int, *,
@@ -272,7 +311,8 @@ def analyze_global(surface: RationalChateletSurface, degree: int, *,
     ways: an odd extension degree rules it out outright; the caller may
     assert it; or a completion of the extension field may certify that d
     stays a nonsquare there.  A completion in which d becomes a square
-    proves nothing and leaves the status undetermined.
+    proves nothing and leaves the status undetermined.  The global pairing
+    is not assumed perfect.
     """
     if degree < 2:
         raise ValueError("extension degree must be at least two")
@@ -301,58 +341,5 @@ def analyze_global(surface: RationalChateletSurface, degree: int, *,
     else:
         trace.append("no_evidence_about_class_survival")
 
-    verdicts: dict = {}
-    brauer_invariants = None
-
-    if surface.half_degree == 2 and degenerate is not None:
-        module = chatelet_picard_module()
-        coh = h1(module.group, module)
-        brauer_invariants = coh.invariants
-        if degenerate:
-            verdicts = {_H1_RES: "ZERO", _H1_COR: "ZERO",
-                        _CHOW_RES: "ZERO", _CHOW_COR: "INJECTIVE"}
-            trace.append("split_surface_has_no_point_class_kernel")
-        else:
-            res = _identity_map(coh)
-            cor = _scaling_map(coh, degree)
-            verdicts[_H1_RES] = _verdict(res)
-            verdicts[_H1_COR] = _verdict(cor)
-            trace.append("restriction_acts_as_identity_on_descent_classes")
-            trace.append("corestriction_multiplies_by_extension_degree")
-            if degree % 2 == 1:
-                verdicts[_CHOW_RES] = "INJECTIVE"
-                verdicts[_CHOW_COR] = "SURJECTIVE"
-                trace.append("odd_degree_composite_is_identity_on_exponent_two")
-            else:
-                verdicts[_CHOW_RES] = "UNKNOWN"
-                verdicts[_CHOW_COR] = "UNKNOWN"
-                trace.append("global_pairing_not_assumed_perfect")
-    else:
-        verdicts[_H1_RES] = "UNKNOWN" if degenerate is None else "NOT_COMPUTED"
-        verdicts[_H1_COR] = verdicts[_H1_RES]
-        if degenerate is True:
-            verdicts[_CHOW_RES] = "ZERO"
-            verdicts[_CHOW_COR] = "INJECTIVE"
-            trace.append("split_surface_has_no_point_class_kernel")
-        elif degenerate is False and degree % 2 == 1:
-            assumptions.append("point classes of these surfaces are killed by "
-                               "two; only the composite of the two maps is used")
-            verdicts[_CHOW_RES] = "INJECTIVE"
-            verdicts[_CHOW_COR] = "SURJECTIVE"
-            trace.append("odd_degree_composite_is_identity_on_exponent_two")
-        else:
-            verdicts[_CHOW_RES] = "UNKNOWN"
-            verdicts[_CHOW_COR] = "UNKNOWN"
-
-    return AnalysisReport(
-        base="Q",
-        extension=f"degree-{degree} extension of Q",
-        degree=degree,
-        half_degree=surface.half_degree,
-        degenerate=degenerate,
-        brauer_invariants=brauer_invariants,
-        verdicts=verdicts,
-        rule_trace=trace,
-        assumptions=assumptions,
-        conventions=list(_CONVENTIONS),
-    )
+    return _report(surface, "Q", f"degree-{degree} extension of Q", degree, degenerate,
+                   False, trace, assumptions)

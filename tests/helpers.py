@@ -5,15 +5,18 @@ construction (trivial modules, coset permutation modules, index-two sign
 twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
 
-`reference_mul` is an independent product for p-adic towers that the tests
-compare the library's structure-constant tables against.
+`h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
+the general cocycle machinery against, and `reference_mul` is an independent
+product for p-adic towers that the tests compare the library's
+structure-constant tables against.
 """
 
 import random
 from fractions import Fraction
 
+from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
-from chatelet.intmat import IntMatrix
+from chatelet.intmat import IntMatrix, LatticeSubquotient, solution_lattice
 from chatelet.modules import (
     GModule,
     direct_sum,
@@ -79,6 +82,44 @@ def random_cocycle(coh, rng: random.Random):
     """A random honest cocycle (degree one) drawn through the coordinates."""
     coords = [rng.randrange(d) if d else rng.randint(-2, 2) for d in coh.invariants]
     return coh.cocycle_from_coords(coords), tuple(coords)
+
+
+# -- H^1 oracle for cyclic groups -------------------------------------------------
+
+
+def h1_cyclic(G: FiniteGroup, M: GModule) -> CohomologyGroup:
+    """Independent H^1 for cyclic groups: kernel of the norm over the image
+    of (generator - 1).  Used as an oracle against the general machinery."""
+    if M.group != G:
+        raise ValueError("module is not over the given group")
+    n = G.order
+    sigma = next((g for g in G.elements() if G.element_order(g) == n), None)
+    if sigma is None:
+        raise ValueError("group is not cyclic")
+    r = M.rank
+    powers = [G.power(sigma, k) for k in range(n)]
+    norm = IntMatrix.zeros(r, r)
+    for g in powers:
+        norm = norm + M.act(g)
+    numerator = solution_lattice(r, [(norm, M.relations)])
+    diff = M.act(sigma) - IntMatrix.identity(r)
+    denominator = [diff.col(j) for j in range(r)] + [tuple(rel) for rel in M.relations]
+    subq = LatticeSubquotient(r, numerator, denominator)
+
+    def to_ambient(cocycle):
+        _identity_cocycle_check(G, cocycle, r)
+        return tuple(cocycle[sigma])
+
+    def from_ambient(a):
+        out = {}
+        acc = [0] * r
+        for k in range(n):
+            out[powers[k]] = tuple(acc)
+            step = M.act(powers[k]).apply(a)
+            acc = [x + y for x, y in zip(acc, step)]
+        return out
+
+    return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
 
 
 # -- reference multiplication for p-adic towers -----------------------------------

@@ -15,7 +15,6 @@ from chatelet.cohomology import (
     corestriction_map,
     dual_map,
     h1,
-    h1_cyclic,
     restriction_map,
 )
 from chatelet.extensions import (
@@ -57,7 +56,7 @@ from chatelet.surfaces import (
     corestriction_on_h1,
     restriction_on_h1,
 )
-from helpers import coset_permutation_module, random_module
+from helpers import coset_permutation_module, h1_cyclic, random_module
 
 
 # -- shared p-adic tower builders --------------------------------------------------

@@ -444,6 +444,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "jobs[0].matrix" in err
 
 
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_main_rejects_non_associative_table(n, tmp_path, capsys):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    path = write_doc(tmp_path, doc({"type": "h1", "group": {"kind": "table", "table": table},
+                                    "module": {"kind": "trivial"}}))
+    assert main([path]) == 2
+    assert capsys.readouterr().err.startswith("jobs[0].group.table: ")
+
 def test_main_inert_flags(tmp_path, capsys):
     path = write_doc(tmp_path, doc({"type": "snf", "matrix": [[3]]}))
     assert main([path, "--precision", "10", "--seed", "7", "--trace"]) == 0

@@ -11,7 +11,6 @@ from chatelet.cohomology import (
     dual_map,
     h0,
     h1,
-    h1_cyclic,
     induced_map,
     is_cocycle,
     restriction_map,
@@ -35,7 +34,13 @@ from chatelet.modules import (
     restrict_module,
     trivial_module,
 )
-from helpers import index_two_sign_module, module_library, random_cocycle, random_module
+from helpers import (
+    h1_cyclic,
+    index_two_sign_module,
+    module_library,
+    random_cocycle,
+    random_module,
+)
 
 C2 = cyclic_group(2)
 

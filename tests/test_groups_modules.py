@@ -114,6 +114,16 @@ def test_bad_tables_rejected():
         ])
 
 
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_associativity_checked_at_every_order(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert FiniteGroup(table).order == n
+    # identity and inverses survive the swap, associativity does not
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table)
+
 def test_subgroup_basics():
     G = cyclic_group(6)
     H = Subgroup(G, [0, 2, 4])

@@ -448,3 +448,12 @@ def test_squares_and_uniformizer_twists(field, data):
     pi = field.uniformizer()
     assert is_square(x * x)
     assert not is_square(pi * x * x)
+
+
+@pytest.mark.parametrize("field, d", [(LocalField.qp(5), 2), (Q2, 3), (Q2, 2), (DEG6, -1)])
+def test_square_class_of_powers_follows_parity(field, d):
+    # the class of d^n is trivial exactly when n is even, d a nonsquare
+    x = field.integer(d)
+    assert not is_square(x)
+    for n in range(1, 5):
+        assert (not any(square_class(field, x ** n))) == (n % 2 == 0)

@@ -1,12 +1,19 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from chatelet.cohomology import CohMap, dual_map
+from chatelet.intmat import IntMatrix
+from chatelet.modules import FpAbGroup
 from chatelet.padic import LocalField, is_square, embed
 from chatelet.surfaces import (
+    _DUAL_VERDICT,
     AnalysisReport,
     ChateletSurface,
     RationalChateletSurface,
+    _rules,
+    _verdict,
     analyze_global,
     analyze_local,
     brauer_h1,
@@ -222,3 +229,135 @@ def test_global_degree_validation():
     s = RationalChateletSurface(Fraction(2), (1, 2, 3, 4))
     with pytest.raises(ValueError):
         analyze_global(s, 1)
+
+
+# -- the verdict rule ---------------------------------------------------------------
+
+KILLED_BY_TWO = ("point classes of these surfaces are killed by two; "
+                 "only the composite of the two maps is used")
+ASSERTED = "degeneracy of the base change was asserted by the caller, not verified"
+TRUSTED = "the supplied local field is trusted to be a completion of the extension field"
+DESCENT = ("restriction_acts_as_identity_on_descent_classes",
+           "corestriction_multiplies_by_extension_degree")
+SPLIT = "split_surface_has_no_point_class_kernel"
+ODD_COMPOSITE = "odd_degree_composite_is_identity_on_exponent_two"
+KEYS = ("h1_restriction", "h1_corestriction", "chow_restriction", "chow_corestriction")
+Z, I, S, B, U, N = "ZERO", "INJECTIVE", "SURJECTIVE", "BIJECTIVE", "UNKNOWN", "NOT_COMPUTED"
+
+# every reachable report shape: (degenerate, brauer invariants, verdicts in
+# KEYS order, rule trace, assumptions)
+SHAPES = {
+    ("local", 2, "split"): (True, (2, 2), (Z, Z, Z, I),
+                            ("degenerate_base_change", SPLIT), ()),
+    ("local", 2, "odd"): (False, (2, 2), (B, B, B, B),
+                          ("nonsquare_class_survives_extension", *DESCENT,
+                           "point_class_maps_are_exact_duals_of_descent_maps"), ()),
+    ("local", 2, "even"): (False, (2, 2), (B, Z, Z, B),
+                           ("nonsquare_class_survives_extension", *DESCENT,
+                            "point_class_maps_are_exact_duals_of_descent_maps"), ()),
+    ("local", 3, "split"): (True, None, (N, N, Z, I),
+                            ("degenerate_base_change",), (KILLED_BY_TWO,)),
+    ("local", 3, "odd"): (False, None, (N, N, I, S), (ODD_COMPOSITE,), (KILLED_BY_TWO,)),
+    ("local", 3, "even"): (False, None, (N, N, U, U),
+                           ("even_degree_parity_gives_no_conclusion",), (KILLED_BY_TWO,)),
+    ("global", 2, "asserted"): (True, (2, 2), (Z, Z, Z, I),
+                                ("degenerate_base_change", SPLIT), (ASSERTED,)),
+    ("global", 2, "odd"): (False, (2, 2), (B, B, I, S),
+                           ("odd_degree_extension_cannot_absorb_a_nonsquare", *DESCENT,
+                            ODD_COMPOSITE), ()),
+    ("global", 2, "certificate"): (False, (2, 2), (B, Z, U, U),
+                                   ("local_certificate_confirms_nonsquare", *DESCENT,
+                                    "global_pairing_not_assumed_perfect"), (TRUSTED,)),
+    ("global", 2, "inconclusive"): (None, None, (U, U, U, U),
+                                    ("local_certificate_inconclusive",), (TRUSTED,)),
+    ("global", 2, "none"): (None, None, (U, U, U, U),
+                            ("no_evidence_about_class_survival",), ()),
+    ("global", 3, "asserted"): (True, None, (N, N, Z, I),
+                                ("degenerate_base_change", SPLIT), (ASSERTED,)),
+    ("global", 3, "odd"): (False, None, (N, N, I, S),
+                           ("odd_degree_extension_cannot_absorb_a_nonsquare", ODD_COMPOSITE),
+                           (KILLED_BY_TWO,)),
+    ("global", 3, "certificate"): (False, None, (N, N, U, U),
+                                   ("local_certificate_confirms_nonsquare",), (TRUSTED,)),
+    ("global", 3, "inconclusive"): (None, None, (U, U, U, U),
+                                    ("local_certificate_inconclusive",), (TRUSTED,)),
+    ("global", 3, "none"): (None, None, (U, U, U, U),
+                            ("no_evidence_about_class_survival",), ()),
+}
+
+
+def _shape_report(mode, half_degree, case):
+    root_ints = (1, 2, 3, 4) if half_degree == 2 else (1, 2, 3, 4, 6, 7)
+    if mode == "local":
+        extension = {"split": Q5.extend_unramified([-2, 0]),
+                     "odd": Q5.extend_unramified([2, -1, 0]),
+                     "even": Q5.extend_eisenstein([-5, 0])}[case]
+        return analyze_local(_surface(root_ints=root_ints), extension)
+    surface = RationalChateletSurface(Fraction(2), root_ints)
+    degree, options = {"asserted": (2, {"assert_degenerate": True}),
+                       "odd": (3, {}),
+                       "certificate": (2, {"completion": LocalField.qp(5)}),
+                       "inconclusive": (2, {"completion": LocalField.qp(7)}),
+                       "none": (2, {})}[case]
+    return analyze_global(surface, degree, **options)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES), ids=lambda s: "-".join(map(str, s)))
+def test_report_shapes_are_pinned(shape):
+    degenerate, invariants, verdicts, trace, assumptions = SHAPES[shape]
+    report = _shape_report(*shape)
+    assert report.degenerate is degenerate
+    assert report.brauer_invariants == invariants
+    assert report.verdicts == dict(zip(KEYS, verdicts))
+    assert report.rule_trace == list(trace)
+    assert report.assumptions == list(assumptions)
+
+
+def test_rules_over_whole_domain():
+    dual = {v: k for k, v in _DUAL_VERDICT.items()}
+    assert dual == _DUAL_VERDICT               # duality is an involution
+    rule_lines = {SPLIT, ODD_COMPOSITE, *DESCENT,
+                  "point_class_maps_are_exact_duals_of_descent_maps",
+                  "global_pairing_not_assumed_perfect",
+                  "even_degree_parity_gives_no_conclusion"}
+    points = 0
+    for rank_two, degenerate, odd, perfect in product(
+            (True, False), (True, False, None), (True, False), (True, False)):
+        computed = rank_two and degenerate is False
+        for h1 in product(_DUAL_VERDICT, repeat=2) if computed else [None]:
+            points += 1
+            verdicts, trace, assumptions = _rules(rank_two, degenerate, odd, perfect, h1)
+            assert _rules(rank_two, degenerate, odd, perfect, h1) == (verdicts, trace, assumptions)
+            assert tuple(verdicts) == KEYS
+            h1_out = (verdicts[KEYS[0]], verdicts[KEYS[1]])
+            chow = (verdicts[KEYS[2]], verdicts[KEYS[3]])
+            assert set(trace) <= rule_lines
+            assert assumptions in ([], [KILLED_BY_TWO])
+            assert not (assumptions and rank_two)
+            if degenerate is None:
+                assert (set(verdicts.values()), trace) == ({U}, [])
+            elif degenerate:
+                assert h1_out == ((Z, Z) if rank_two else (N, N))
+                assert chow == (Z, I)
+            else:
+                assert h1_out == (h1 if rank_two else (N, N))
+                if rank_two and perfect:
+                    assert chow == (_DUAL_VERDICT[h1[1]], _DUAL_VERDICT[h1[0]])
+                elif odd:
+                    assert chow == (I, S)
+                else:
+                    assert chow == (U, U)
+    assert points == 120
+
+
+def test_duality_rule_agrees_with_dual_map():
+    maps = []
+    for A in (FpAbGroup(2, [(2, 0), (0, 2)]), FpAbGroup(2, [(4, 0), (0, 2)])):
+        for k in (1, 2, 3, 4):
+            maps.append(CohMap(A, A, IntMatrix.identity(2).scale(k), kind="scalar"))
+    Z2, Z4 = FpAbGroup(1, [(2,)]), FpAbGroup(1, [(4,)])
+    maps.append(CohMap(Z2, Z4, IntMatrix([[2]]), kind="inclusion"))
+    maps.append(CohMap(Z4, Z2, IntMatrix([[1]]), kind="projection"))
+    for f in maps:
+        assert _DUAL_VERDICT[_verdict(f)] == _verdict(dual_map(f))
+    assert {_verdict(f) for f in maps} == set(_DUAL_VERDICT)
