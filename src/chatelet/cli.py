@@ -288,20 +288,6 @@ def _build_module(spec, group, path, errors):
                    choices={"trivial", "regular", "picard", "explicit"})
     if kind is None:
         return None
-    if kind == "trivial":
-        rank = _as_int(obj.get("rank", 1), f"{path}.rank", errors, lo=1, hi=12)
-        if rank is None:
-            return None
-        relations = ()
-        if "relations" in obj:
-            rel_matrix = _as_matrix(obj["relations"], f"{path}.relations", errors)
-            if rel_matrix is None:
-                return None
-            if rel_matrix.ncols != rank:
-                _err(errors, f"{path}.relations", "relation length must equal rank")
-                return None
-            relations = tuple(tuple(r) for r in rel_matrix.rows)
-        return trivial_module(group, rank, relations)
     if kind == "regular":
         return regular_module(group)
     if kind == "picard":
@@ -310,7 +296,30 @@ def _build_module(spec, group, path, errors):
             _err(errors, path, "the picard module lives over the two-element group")
             return None
         return module
-    rank = _as_int(obj.get("rank"), f"{path}.rank", errors, lo=1, hi=12)
+    rank = _as_int(obj.get("rank", 1 if kind == "trivial" else None), f"{path}.rank",
+                   errors, lo=1, hi=12)
+    matrices = _build_action(obj, group, rank, path, errors) if kind == "explicit" else ()
+    if rank is None or matrices is None:
+        return None
+    relations = ()
+    if "relations" in obj:
+        rel_matrix = _as_matrix(obj["relations"], f"{path}.relations", errors)
+        if rel_matrix is None:
+            return None
+        if rel_matrix.ncols != rank:
+            _err(errors, f"{path}.relations", "relation length must equal rank")
+            return None
+        relations = tuple(tuple(r) for r in rel_matrix.rows)
+    if kind == "trivial":
+        return trivial_module(group, rank, relations)
+    try:
+        return GModule(group, rank, relations, matrices, name="explicit")
+    except ValueError as exc:
+        _err(errors, path, str(exc))
+        return None
+
+
+def _build_action(obj, group, rank, path, errors):
     action_spec = _as_array(obj.get("action"), f"{path}.action", errors, min_len=1)
     if rank is None or action_spec is None:
         return None
@@ -327,22 +336,7 @@ def _build_module(spec, group, path, errors):
             _err(errors, f"{path}.action[{i}]", "matrix size must equal rank")
             return None
         matrices.append(m)
-    relations = ()
-    if "relations" in obj:
-        rel_matrix = _as_matrix(obj["relations"], f"{path}.relations", errors)
-        if rel_matrix is None:
-            return None
-        if rel_matrix.ncols != rank:
-            _err(errors, f"{path}.relations", "relation length must equal rank")
-            return None
-        relations = tuple(tuple(r) for r in rel_matrix.rows)
-    try:
-        module = GModule(group, rank, relations, matrices, name="explicit")
-        module.validate()
-    except ValueError as exc:
-        _err(errors, path, str(exc))
-        return None
-    return module
+    return matrices
 
 
 def _build_field(spec, path, errors):
@@ -412,7 +406,7 @@ def _build_subgroup(spec, group, path, errors):
 # -- job validators: each returns a closure that computes the result dict ---------
 
 
-def _prep_snf(job, path, errors):
+def _prep_snf(job, path, errors, trace):
     matrix = _as_matrix(job.get("matrix"), f"{path}.matrix", errors)
     if matrix is None:
         return None
@@ -520,7 +514,7 @@ def _prep_ext_check(job, path, errors, trace):
     return execute
 
 
-def _prep_square_class(job, path, errors):
+def _prep_square_class(job, path, errors, trace):
     field = _build_field(job.get("field"), f"{path}.field", errors)
     elems_spec = _as_array(job.get("elements"), f"{path}.elements", errors, min_len=1)
     if field is None or elems_spec is None:
@@ -688,7 +682,13 @@ def _report_dict(report, trace):
     return data
 
 
-_JOB_TYPES = {"snf", "h1", "ext-check", "square-class", "analyze"}
+_JOB_TYPES = {
+    "snf": _prep_snf,
+    "h1": _prep_h1,
+    "ext-check": _prep_ext_check,
+    "square-class": _prep_square_class,
+    "analyze": _prep_analyze,
+}
 
 
 def run(document, trace: bool = False):
@@ -719,17 +719,7 @@ def run(document, trace: bool = False):
             _err(errors, f"{path}.type",
                  "expected one of " + ", ".join(sorted(_JOB_TYPES)))
             continue
-        if jtype == "snf":
-            thunk = _prep_snf(obj, path, errors)
-        elif jtype == "h1":
-            thunk = _prep_h1(obj, path, errors, trace)
-        elif jtype == "ext-check":
-            thunk = _prep_ext_check(obj, path, errors, trace)
-        elif jtype == "square-class":
-            thunk = _prep_square_class(obj, path, errors)
-        else:
-            thunk = _prep_analyze(obj, path, errors, trace)
-        thunks.append(thunk)
+        thunks.append(_JOB_TYPES[jtype](obj, path, errors, trace))
 
     if errors:
         return None, errors

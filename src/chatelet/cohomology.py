@@ -28,6 +28,7 @@ from .modules import (
     FpAbGroup,
     GModule,
     GModuleMap,
+    _diagonal_relations,
     describe_invariants,
     invariant_subquotient,
     restrict_module,
@@ -120,15 +121,20 @@ def _identity_cocycle_check(group: FiniteGroup, cocycle: Cocycle, rank: int) -> 
 
 
 def is_cocycle(M: GModule, cocycle: Cocycle) -> bool:
-    """Exhaustive check of c(gh) = c(g) + g c(h) modulo the relation lattice."""
+    """Check of c(gh) = c(g) + g c(h) modulo the relation lattice.
+
+    It is tested for h = e (c(e) = 0) and on every generator edge g -> g s;
+    M being a module, induction on word length gives it for every h.
+    """
     G = M.group
     _identity_cocycle_check(G, cocycle, M.rank)
-    for g in G.elements():
-        cg = tuple(cocycle[g])
-        for h in G.elements():
-            lhs = cocycle[G.mul(g, h)]
-            rhs = [a + b for a, b in zip(cg, M.act(g).apply(cocycle[h]))]
-            if not M.vectors_equal(lhs, rhs):
+    if not M.in_relation_lattice(cocycle[G.identity]):
+        return False
+    for s in G.generating_set():
+        cs = cocycle[s]
+        for g in G.elements():
+            rhs = [a + b for a, b in zip(cocycle[g], M.act(g).apply(cs))]
+            if not M.vectors_equal(cocycle[G.mul(g, s)], rhs):
                 return False
     return True
 
@@ -264,30 +270,21 @@ class CohMap:
 
     # -- structural predicates, all exact ------------------------------------
 
-    def _source_relations(self) -> list[Vector]:
-        s = len(self.source.invariants)
-        return [tuple(d if i == j else 0 for j in range(s))
-                for i, d in enumerate(self.source.invariants) if d != 0]
-
-    def _target_relations(self) -> list[Vector]:
-        t = len(self.target.invariants)
-        return [tuple(d if i == j else 0 for j in range(t))
-                for i, d in enumerate(self.target.invariants) if d != 0]
-
     def kernel_invariants(self) -> tuple[int, ...]:
         s = len(self.source.invariants)
-        num = solution_lattice(s, [(self.matrix, self._target_relations())])
-        return LatticeSubquotient(s, num, self._source_relations()).invariants
+        rels = _diagonal_relations(self.target.invariants)
+        num = solution_lattice(s, [(self.matrix, rels)])
+        return LatticeSubquotient(s, num, _diagonal_relations(self.source.invariants)).invariants
 
     def image_invariants(self) -> tuple[int, ...]:
         t = len(self.target.invariants)
-        cols = self.matrix.columns() + self._target_relations()
-        return LatticeSubquotient(t, cols, self._target_relations()).invariants
+        rels = _diagonal_relations(self.target.invariants)
+        return LatticeSubquotient(t, self.matrix.columns() + rels, rels).invariants
 
     def cokernel_invariants(self) -> tuple[int, ...]:
         t = len(self.target.invariants)
         basis = [tuple(1 if i == j else 0 for j in range(t)) for i in range(t)]
-        den = self.matrix.columns() + self._target_relations()
+        den = self.matrix.columns() + _diagonal_relations(self.target.invariants)
         return LatticeSubquotient(t, basis, den).invariants
 
     def is_zero(self) -> bool:
@@ -416,9 +413,7 @@ def dual_group(A) -> FpAbGroup:
     invariants = tuple(A.invariants)
     if any(d == 0 for d in invariants):
         raise ValueError("dual group needs a finite argument")
-    relations = [tuple(d if i == j else 0 for j in range(len(invariants)))
-                 for i, d in enumerate(invariants)]
-    return FpAbGroup(len(invariants), relations)
+    return FpAbGroup(len(invariants), _diagonal_relations(invariants))
 
 
 def dual_map(f: CohMap) -> CohMap:

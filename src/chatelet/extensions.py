@@ -24,6 +24,7 @@ from .modules import (
     GModule,
     GModuleMap,
     HomModule,
+    _coset_blocks,
     hom_module,
     ind_counit,
     ind_unit,
@@ -153,22 +154,11 @@ def cores_ext(E: ExtensionClass, H: Subgroup, M: GModule, N: GModule) -> Extensi
         raise ValueError("M and N must be modules over the subgroup's parent")
     if E.quot != restrict_module(M, H) or E.sub != restrict_module(N, H):
         raise ValueError("extension is not between the restrictions of M and N")
-    n = H.index
     rn, rm = E.sub.rank, E.quot.rank
     unit = ind_unit(M, H)
     counit = ind_counit(N, H)
-
-    phi = []
-    for g in G.elements():
-        rows = [[0] * (n * rm) for _ in range(n * rn)]
-        for i in range(n):
-            j, h_par = H.transfer_factor(g, i)
-            block = E.phi[H.locate(h_par)]
-            for a in range(rn):
-                for b in range(rm):
-                    rows[j * rn + a][i * rm + b] = block.rows[a][b]
-        psi = IntMatrix(rows, ncols=n * rm)
-        phi.append(counit.matrix @ psi @ unit.matrix)
+    phi = [counit.matrix @ _coset_blocks(H, g, E.phi.__getitem__, rn, rm) @ unit.matrix
+           for g in G.elements()]
     return ExtensionClass(G, N, M, phi)
 
 

@@ -463,8 +463,12 @@ class LatticeSubquotient:
 
     Both lattices live in Z^ambient_dim and are given by generating vectors;
     the denominator must be contained in the numerator.  The group is put in
-    coordinates by two Smith decompositions: one to extract a basis of the
-    numerator lattice, one to diagonalize the denominator inside it.
+    coordinates by two Smith decompositions.  The first, U num V = S with
+    rank r and diagonal d_1..d_r, gives a basis of the numerator lattice
+    (the first r columns of num V, which equal U^-1 S) and with it the basis
+    coordinates of every vector: (U v)_i / d_i for i < r, where v lies in
+    the lattice exactly when these divisions are exact and (U v)_i = 0 for
+    i >= r.  The second diagonalizes the denominator's basis coordinates.
 
     Attributes:
         invariants: cyclic decomposition orders, torsion entries first in
@@ -481,15 +485,13 @@ class LatticeSubquotient:
         num = IntMatrix.from_columns(numerator_gens, nrows=ambient_dim)
         dec_num = smith_normal_form(num)
         r = dec_num.rank
-        # U num V = S gives num V = U^-1 S: the first r columns of num V are
-        # d_i * (column i of U^-1), a basis of the numerator lattice.
-        self._basis = IntMatrix.from_columns((num @ dec_num.V).columns()[:r],
-                                             nrows=ambient_dim)
-        self._basis_dec = smith_normal_form(self._basis)
+        self._u = dec_num.U
+        self._d = dec_num.diagonal[:r]
+        basis = IntMatrix.from_columns((num @ dec_num.V).columns()[:r], nrows=ambient_dim)
 
         den_cols = []
         for g in denominator_gens:
-            x = solve(self._basis, g, self._basis_dec)
+            x = self._basis_coords(g)
             if x is None:
                 raise ValueError("denominator generator lies outside the numerator lattice")
             den_cols.append(x)
@@ -502,7 +504,7 @@ class LatticeSubquotient:
         kept = [i for i in range(r) if full[i] != 1]
         self._kept = kept
         self.invariants: tuple[int, ...] = tuple(full[i] for i in kept)
-        gen_matrix = self._basis @ ux_inv
+        gen_matrix = basis @ ux_inv
         self.generators: list[Vector] = [gen_matrix.col(i) for i in kept]
         self.order: int | None = None
         if all(d != 0 for d in self.invariants):
@@ -511,16 +513,24 @@ class LatticeSubquotient:
                 o *= d
             self.order = o
 
+    def _basis_coords(self, v: Sequence[int]) -> Vector | None:
+        """Coordinates of v in the numerator basis, or None when v is outside."""
+        c = self._u.apply(v)
+        r = len(self._d)
+        if any(c[r:]) or any(ci % d for ci, d in zip(c, self._d)):
+            return None
+        return tuple(ci // d for ci, d in zip(c, self._d))
+
     def contains(self, v: Sequence[int]) -> bool:
         """Membership of an ambient vector in the numerator lattice."""
-        return solve(self._basis, v, self._basis_dec) is not None
+        return self._basis_coords(v) is not None
 
     def coords(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector, reduced modulo the invariants.
 
         Raises ValueError when v is not in the numerator lattice.
         """
-        y = solve(self._basis, v, self._basis_dec)
+        y = self._basis_coords(v)
         if y is None:
             raise ValueError("vector not in the numerator lattice")
         w = self._ux.apply(y)

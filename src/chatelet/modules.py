@@ -12,16 +12,15 @@ cohomology layer does.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup
 from .intmat import (
     IntMatrix,
     LatticeSubquotient,
-    SmithDecomposition,
     Vector,
-    kernel_basis,
     smith_normal_form,
+    solution_lattice,
     solve,
 )
 
@@ -135,8 +134,12 @@ class GModule:
         return all(self.in_relation_lattice(diff.col(j)) for j in range(diff.ncols))
 
     def validate(self) -> "GModule":
-        """Exhaustive module axioms: shapes, identity, relation stability,
-        and the homomorphism law for every pair of group elements."""
+        """Module axioms: shapes, identity, relation stability, and the
+        homomorphism law on every generator edge g -> g s.
+
+        With the identity acting trivially and every action preserving the
+        relation lattice, the law for each generator s gives it for every
+        product of generators by induction on word length."""
         if any(len(r) != self.rank for r in self.relations):
             raise ValueError("relation length does not match rank")
         for g in self.group.elements():
@@ -149,11 +152,11 @@ class GModule:
             for r in self.relations:
                 if not self.in_relation_lattice(self.action[g].apply(r)):
                     raise ValueError("action does not preserve the relation lattice")
-        for g in self.group.elements():
-            ag = self.action[g]
-            for h in self.group.elements():
-                if not self.matrices_equal(ag @ self.action[h],
-                                           self.action[self.group.mul(g, h)]):
+        for s in self.group.generating_set():
+            a_s = self.action[s]
+            for g in self.group.elements():
+                if not self.matrices_equal(self.action[g] @ a_s,
+                                           self.action[self.group.mul(g, s)]):
                     raise ValueError("action matrices are not a homomorphism")
         return self
 
@@ -280,10 +283,14 @@ def permutation_module(G: FiniteGroup, perms: Sequence[Sequence[int]],
     for g in G.elements():
         if sorted(perms[g]) != list(range(size)):
             raise ValueError("entry is not a permutation")
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            if any(perms[g][perms[h][x]] != perms[gh][x] for x in range(size)):
+    # the identity fixes every point and each generator edge g -> g s
+    # composes, which by induction gives the law for every pair
+    if list(perms[G.identity]) != list(range(size)):
+        raise ValueError("permutations do not define a group action")
+    for s in G.generating_set():
+        for g in G.elements():
+            gs = G.mul(g, s)
+            if any(perms[g][perms[s][x]] != perms[gs][x] for x in range(size)):
                 raise ValueError("permutations do not define a group action")
     mats = []
     for g in G.elements():
@@ -330,6 +337,23 @@ def restrict_module(M: GModule, H: Subgroup) -> GModule:
                    name=f"Res({M.name})", check=False)
 
 
+def _coset_blocks(H: Subgroup, g: int, block_of_h: Callable[[int], IntMatrix],
+                  rows: int, cols: int) -> IntMatrix:
+    """g's transfer across the left cosets of H, one block per coset.
+
+    The (j, i) block is block_of_h(h) when g r_i = r_j h, and zero otherwise;
+    blocks are rows x cols and h is an element of H.group.
+    """
+    n = H.index
+    out = [[0] * (n * cols) for _ in range(n * rows)]
+    for i in range(n):
+        j, h_par = H.transfer_factor(g, i)
+        block = block_of_h(H.locate(h_par))
+        for a in range(rows):
+            out[j * rows + a][i * cols:(i + 1) * cols] = block.rows[a]
+    return IntMatrix(out, ncols=n * cols)
+
+
 def induce_module(M: GModule, H: Subgroup) -> GModule:
     """Induction from a subgroup to its parent.
 
@@ -349,16 +373,7 @@ def induce_module(M: GModule, H: Subgroup) -> GModule:
             v = [0] * rank
             v[i * r:(i + 1) * r] = list(rel)
             relations.append(tuple(v))
-    mats = []
-    for g in G.elements():
-        rows = [[0] * rank for _ in range(rank)]
-        for i in range(n):
-            j, h_par = H.transfer_factor(g, i)
-            block = M.act(H.locate(h_par))
-            for a in range(r):
-                for b in range(r):
-                    rows[j * r + a][i * r + b] = block.rows[a][b]
-        mats.append(IntMatrix(rows, ncols=rank))
+    mats = [_coset_blocks(H, g, M.act, r, r) for g in G.elements()]
     return GModule(G, rank, relations, mats, name=f"Ind({M.name})", check=False)
 
 
@@ -390,10 +405,11 @@ def ind_counit(M: GModule, H: Subgroup) -> GModuleMap:
 # -- hom modules -----------------------------------------------------------------
 
 
-def _projected_kernel(rows: list[list[int]], keep: int, ncols: int) -> list[Vector]:
-    """Solutions of a homogeneous system, projected to the first `keep` coordinates."""
-    A = IntMatrix(rows, ncols=ncols)
-    return [v[:keep] for v in kernel_basis(A)]
+def _diagonal_relations(invariants: Sequence[int]) -> list[Vector]:
+    """Relations d_i e_i presenting the group with these cyclic invariants."""
+    n = len(invariants)
+    return [tuple(d if i == j else 0 for j in range(n))
+            for i, d in enumerate(invariants) if d != 0]
 
 
 class HomModule(GModule):
@@ -412,25 +428,17 @@ class HomModule(GModule):
         G = source.group
         rm, rn = source.rank, target.rank
         B = rn * rm  # entry (i, j) of a matrix sits at i * rm + j
-        km = len(source.relations)
-        kn = len(target.relations)
 
         # lattice of matrices that are well defined on relations:
         # for each source relation, F . rel must land in the relation lattice
-        # of the target; slack variables express the lattice membership.
-        if km == 0:
-            hom_gens = [tuple(1 if t == s else 0 for t in range(B)) for s in range(B)]
-        else:
-            rows = []
-            for t, rel in enumerate(source.relations):
-                for i in range(rn):
-                    row = [0] * (B + km * kn)
-                    for j in range(rm):
-                        row[i * rm + j] = rel[j]
-                    for s, nrel in enumerate(target.relations):
-                        row[B + t * kn + s] = -nrel[i]
-                    rows.append(row)
-            hom_gens = _projected_kernel(rows, B, B + km * kn)
+        # of the target; F |-> F . rel is an rn x B matrix
+        blocks = []
+        for rel in source.relations:
+            rows = [[0] * B for _ in range(rn)]
+            for i in range(rn):
+                rows[i][i * rm:(i + 1) * rm] = rel
+            blocks.append((IntMatrix(rows, ncols=B), target.relations))
+        hom_gens = solution_lattice(B, blocks)
 
         # matrices that are zero as maps: every column in the target relations
         triv_gens = []
@@ -443,10 +451,7 @@ class HomModule(GModule):
 
         subq = LatticeSubquotient(B, hom_gens, triv_gens)
         n = len(subq.invariants)
-        relations = []
-        for pos, d in enumerate(subq.invariants):
-            if d != 0:
-                relations.append(tuple(d if t == pos else 0 for t in range(n)))
+        relations = _diagonal_relations(subq.invariants)
 
         def to_matrix(vec: Sequence[int]) -> IntMatrix:
             return IntMatrix([[vec[i * rm + j] for j in range(rm)] for i in range(rn)],
@@ -503,23 +508,9 @@ def invariant_subquotient(M: GModule) -> LatticeSubquotient:
     Denominator: the relation lattice itself.
     """
     r = M.rank
-    k = len(M.relations)
-    gens = M.group.generating_set()
-    if not gens:
-        basis = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-        return LatticeSubquotient(r, basis, M.relations)
     eye = IntMatrix.identity(r)
-    rows = []
-    total_cols = r + len(gens) * k
-    for t, g in enumerate(gens):
-        diff = M.act(g) - eye
-        for i in range(r):
-            row = [0] * total_cols
-            row[:r] = list(diff.rows[i])
-            for s, rel in enumerate(M.relations):
-                row[r + t * k + s] = -rel[i]
-            rows.append(row)
-    inv_gens = _projected_kernel(rows, r, total_cols)
+    inv_gens = solution_lattice(r, [(M.act(g) - eye, M.relations)
+                                    for g in M.group.generating_set()])
     return LatticeSubquotient(r, inv_gens, M.relations)
 
 

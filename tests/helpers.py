@@ -6,8 +6,10 @@ twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
-the general cocycle machinery against, and `reference_mul` is an independent
-product for p-adic towers that the tests compare the library's
+the general cocycle machinery against, the `*_all_pairs` checks test the
+module, cocycle and permutation-action laws on every pair of group elements
+where the library tests generator edges only, and `reference_mul` is an
+independent product for p-adic towers that the tests compare the library's
 structure-constant tables against.
 """
 
@@ -82,6 +84,45 @@ def random_cocycle(coh, rng: random.Random):
     """A random honest cocycle (degree one) drawn through the coordinates."""
     coords = [rng.randrange(d) if d else rng.randint(-2, 2) for d in coh.invariants]
     return coh.cocycle_from_coords(coords), tuple(coords)
+
+
+# -- all-pairs law checks ------------------------------------------------------------
+
+
+def module_axioms_all_pairs(M: GModule) -> bool:
+    """Shapes, identity, relation stability, and the homomorphism law for
+    every pair of group elements."""
+    if any(len(r) != M.rank for r in M.relations):
+        return False
+    G = M.group
+    if any(M.act(g).shape != (M.rank, M.rank) for g in G.elements()):
+        return False
+    if not M.matrices_equal(M.act(G.identity), IntMatrix.identity(M.rank)):
+        return False
+    for g in G.elements():
+        if not all(M.in_relation_lattice(M.act(g).apply(r)) for r in M.relations):
+            return False
+    return all(M.matrices_equal(M.act(g) @ M.act(h), M.act(G.mul(g, h)))
+               for g in G.elements() for h in G.elements())
+
+
+def is_cocycle_all_pairs(M: GModule, cocycle) -> bool:
+    """c(gh) = c(g) + g c(h) modulo the relation lattice for every pair."""
+    G = M.group
+    _identity_cocycle_check(G, cocycle, M.rank)
+    for g in G.elements():
+        for h in G.elements():
+            rhs = [a + b for a, b in zip(cocycle[g], M.act(g).apply(cocycle[h]))]
+            if not M.vectors_equal(cocycle[G.mul(g, h)], rhs):
+                return False
+    return True
+
+
+def permutation_action_all_pairs(G: FiniteGroup, perms) -> bool:
+    """perms[g] o perms[h] == perms[gh] for every pair."""
+    size = len(perms[0])
+    return all(perms[g][perms[h][x]] == perms[G.mul(g, h)][x]
+               for g in G.elements() for h in G.elements() for x in range(size))
 
 
 # -- H^1 oracle for cyclic groups -------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chatelet.cohomology import h1, is_cocycle
 from chatelet.groups import (
     FiniteGroup,
     Subgroup,
@@ -35,9 +36,18 @@ from chatelet.modules import (
     trivial_module,
 )
 
+from helpers import (
+    is_cocycle_all_pairs,
+    module_axioms_all_pairs,
+    module_library,
+    permutation_action_all_pairs,
+    random_cocycle,
+)
+
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
 C6 = cyclic_group(6)
+LAW_GROUPS = (C4, symmetric_group(3), dihedral_group(4), quaternion_group())
 
 
 def sign_module(n):
@@ -380,3 +390,101 @@ def test_module_map_composition():
     triple = GModuleMap(M, M, IntMatrix([[3]]))
     assert double.then(triple).matrix == IntMatrix([[6]])
     assert double.apply((5,)) == (10,)
+
+
+# -- generator-edge law checks against the all-pairs oracles -------------------------
+
+
+def _compare(check_edges, check_all_pairs, G, g0, outcomes):
+    """Assert both checks agree; record (defect at a generator, verdict)."""
+    verdict = check_all_pairs()
+    assert check_edges() == verdict
+    outcomes.add((g0 in G.generating_set(), verdict))
+
+
+def _accepts(fn) -> bool:
+    """False when fn raises ValueError, True when it returns."""
+    try:
+        fn()
+    except ValueError:
+        return False
+    return True
+
+
+def test_validate_agrees_with_all_pairs_oracle():
+    rng = random.Random(101)
+    for G in LAW_GROUPS:
+        outcomes = set()
+        for M in module_library(G, rng):
+            for g0 in G.elements():
+                for k in (1, -1, 2, 4):
+                    a, b = rng.randrange(M.rank), rng.randrange(M.rank)
+                    bump = [[k if (i, j) == (a, b) else 0 for j in range(M.rank)]
+                            for i in range(M.rank)]
+                    mats = list(M.action)
+                    mats[g0] = mats[g0] + IntMatrix(bump)
+                    P = GModule(G, M.rank, M.relations, mats, check=False)
+                    _compare(lambda: _accepts(P.validate),
+                             lambda: module_axioms_all_pairs(P), G, g0, outcomes)
+        # rejections at generators and elsewhere, and perturbations that stay valid
+        assert {(True, False), (False, False), (False, True)} <= outcomes, G.name
+
+
+def test_is_cocycle_agrees_with_all_pairs_oracle():
+    rng = random.Random(103)
+    for G in LAW_GROUPS:
+        outcomes = set()
+        for M in module_library(G, rng):
+            cocycle, _ = random_cocycle(h1(G, M), rng)
+            for g0 in G.elements():
+                for k in (1, 2, 4):
+                    c = dict(cocycle)
+                    i = rng.randrange(M.rank)
+                    c[g0] = tuple(x + (k if j == i else 0) for j, x in enumerate(c[g0]))
+                    _compare(lambda: is_cocycle(M, c),
+                             lambda: is_cocycle_all_pairs(M, c), G, g0, outcomes)
+        assert {(True, False), (False, False), (False, True)} <= outcomes, G.name
+
+
+def test_permutation_module_agrees_with_all_pairs_oracle():
+    rng = random.Random(107)
+    for G in LAW_GROUPS:
+        outcomes = set()
+        for H in all_subgroups(G):
+            if H.index < 2:
+                continue
+            reps = H.left_coset_reps()
+            perms = [tuple(H.coset_of(G.mul(g, r)) for r in reps) for g in G.elements()]
+            for g0 in (None, *G.elements()):  # None: the valid action itself
+                bad = [list(p) for p in perms]
+                if g0 is not None:
+                    x, y = rng.sample(range(H.index), 2)
+                    bad[g0][x], bad[g0][y] = bad[g0][y], bad[g0][x]
+                _compare(lambda: _accepts(lambda: permutation_module(G, bad)),
+                         lambda: permutation_action_all_pairs(G, bad), G, g0, outcomes)
+        assert {(True, False), (False, False), (False, True)} <= outcomes, G.name
+
+
+# -- lattices built by solution_lattice -----------------------------------------------
+
+
+def test_hom_module_generators_are_well_defined():
+    rng = random.Random(109)
+    for G in LAW_GROUPS:
+        pool = module_library(G, rng)
+        for M in pool:
+            for N in pool:
+                hm = hom_module(M, N)
+                for i in range(hm.rank):
+                    F = hm.matrix_of([1 if j == i else 0 for j in range(hm.rank)])
+                    assert all(N.in_relation_lattice(F.apply(r)) for r in M.relations)
+
+
+def test_invariant_subquotient_generators_are_fixed():
+    rng = random.Random(113)
+    for G in LAW_GROUPS:
+        pool = module_library(G, rng)
+        pool += [hom_module(M, N) for M, N in zip(pool, reversed(pool))]
+        for M in pool:
+            for v in invariant_subquotient(M).generators:
+                assert all(M.vectors_equal(M.act_on(g, v), v) for g in G.elements())

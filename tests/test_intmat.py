@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatelet.intmat import (
     IntMatrix,
@@ -290,3 +292,29 @@ def test_subquotient_coords_additive():
         assert cs == q.reduce_coords([x + y for x, y in zip(ca, cb)])
         # lift then coords is the identity on coordinates
         assert q.coords(q.lift(ca)) == ca
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subquotient_membership_matches_solve(data):
+    n = data.draw(st.integers(1, 4), label="dim")
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    num = data.draw(st.lists(vec, max_size=4), label="num")
+    k = len(num)
+    combo = st.tuples(*[st.integers(-3, 3)] * k)
+    N = IntMatrix.from_columns(num, nrows=n)
+    den = [N.apply(c) for c in data.draw(st.lists(combo, max_size=3), label="den")]
+    D = IntMatrix.from_columns(den, nrows=n)
+    q = LatticeSubquotient(n, num, den)
+    members = [N.apply(c) for c in data.draw(st.lists(combo, min_size=1, max_size=3),
+                                              label="members")]
+    probes = data.draw(st.lists(vec, min_size=1, max_size=4), label="probes")
+    for v in members + probes:
+        inside = solve(N, v) is not None
+        assert q.contains(v) == inside
+        if not inside:
+            with pytest.raises(ValueError):
+                q.coords(v)
+    for v in members:
+        back = q.lift(q.coords(v))
+        assert solve(D, [a - b for a, b in zip(back, v)]) is not None
