@@ -715,7 +715,8 @@ def run(document, trace: bool = False):
         if obj is None:
             continue
         jtype = obj.get("type")
-        if jtype not in _JOB_TYPES:
+        # an array or object is unhashable, so test the type before membership
+        if not isinstance(jtype, str) or jtype not in _JOB_TYPES:
             _err(errors, f"{path}.type",
                  "expected one of " + ", ".join(sorted(_JOB_TYPES)))
             continue

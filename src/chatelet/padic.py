@@ -19,6 +19,13 @@ the Eisenstein monomials are pairwise distinct modulo the absolute
 ramification index.  That gives the closed valuation formula used
 throughout: the valuation of an element is the minimum over its nonzero
 coordinates of e * v_p(coefficient) + weight(monomial).
+
+Squareness and square classes go through one map, `_class_vector`, from K*
+to its F_2 coordinates in K*/(K*)^2: the valuation parity, then for odd p
+the Euler criterion on the residue, and for p = 2 the quadratic-defect
+reduction of the unit part, which takes O(e) products.  `is_square` tests
+that vector for zero; `square_class_group` picks its greedy basis and
+`square_class` reads coordinates by F_2 elimination on those vectors.
 """
 
 from __future__ import annotations
@@ -257,9 +264,9 @@ class LocalField:
     # -- residue field helpers --------------------------------------------------
     # A residue is a tuple of integers mod p over the unramified monomials.
 
-    def _residue_elements(self) -> list[tuple]:
-        """All residue field elements, in a fixed deterministic order."""
-        return list(product(range(self.p), repeat=self.residue_degree))
+    def _residue_elements(self):
+        """All residue field elements, lazily, in a fixed deterministic order."""
+        return product(range(self.p), repeat=self.residue_degree)
 
     def _res_mul(self, a: tuple, b: tuple) -> tuple:
         return tuple(x % self.p for x in _contract(self._res_table, a, b))
@@ -281,7 +288,7 @@ class LocalField:
         no roots, and for quartics additionally no monic quadratic divisor."""
         p = self.p
         d = len(residues)
-        elems = self._residue_elements()
+        elems = list(self._residue_elements())
         one = self._res_one()
         zero = elems[0]
 
@@ -548,57 +555,72 @@ def embed(x: PadicElement, L: LocalField) -> PadicElement:
 
 
 def is_square(x: PadicElement) -> bool:
-    """Exact squareness test.
+    """Exact squareness test: x is zero or its square class vector is zero."""
+    return x.is_zero() or not _class_vector(x)
 
-    Odd residue characteristic reduces to an Euler criterion on the residue
-    of the unit part.  For p = 2 the unit part is compared against the
-    candidates s(1 + pi z) with z running over the finitely many classes
-    modulo pi^(v(2)); a candidate certifies squareness exactly when
-    v(y^2 - u) > 2 v(2), since 1 + pi^(2 v(2) + 1) O consists of squares.
+
+def _class_vector(x: PadicElement) -> int:
+    """The class of a nonzero x in K*/(K*)^2 as a bit mask over F_2.
+
+    Write x = pi^v u with u a unit; bit 0 is v mod 2.  For odd p, bit 1 is
+    set when the residue of u is not a square (Euler's criterion).  For
+    p = 2, with e = v(2) and f the residue degree, u is first multiplied by a
+    lifted residue square so that u = 1 + a pi^k + ... with k = v(u - 1) > 0,
+    and then reduced by its quadratic defect (O'Meara, Introduction to
+    Quadratic Forms, §63), level by level while k < 2e:
+
+    - at even k it is multiplied by the square (1 + b pi^(k/2))^2, b^2 = a;
+    - at odd k the f coordinates of a are bits 1 + f (k - 1)/2 + i, and u is
+      multiplied by 1 + m_i pi^k for each set bit, m_i the i-th unramified
+      monomial.
+
+    Either way k grows.  At k = 2e, bit d + 1 is Tr(a / eps^2) over F_2, eps
+    the residue of 2 / pi^e: 1 + a pi^(2e) is (1 + b pi^e)^2 modulo
+    pi^(2e + 1) exactly when a = b^2 + eps b is solvable.  Above 2e the unit
+    is a square, since 1 + pi^(2e + 1) O consists of squares.  Every factor
+    is a square or one of pi, 1 + m_i pi^k, so the bits are the coordinates
+    of x over those elements and a unit of defect 2e, and the map is a
+    homomorphism onto F_2^(d + 2).
     """
     field = x.field
     key = (x.nums, x.den)
     cached = field._square_cache.get(key)
     if cached is not None:
         return cached
-    result = _is_square_uncached(x)
-    field._square_cache[key] = result
-    return result
-
-
-def _is_square_uncached(x: PadicElement) -> bool:
-    field = x.field
-    if x.is_zero():
-        return True
     v = x.valuation()
-    if v % 2 != 0:
-        return False
-    u = x / field.uniformizer() ** v if v else x
+    pi = field.uniformizer()
+    u = x / pi ** v if v else x
     q = field.p ** field.residue_degree
     r = field._to_residue(u)
+    vec = v % 2
     if field.p != 2:
-        return field._res_pow(r, (q - 1) // 2) == field._res_one()
-
-    e2 = field.ramification_index  # v(2) in this normalization
-    sbar = field._res_pow(r, q // 2)  # the unique square root in characteristic 2
-    s = field._lift_residue(sbar)
-    pi = field.uniformizer()
-    threshold = 2 * e2 + 1
-
-    # candidate corrections: z over a transversal of O / pi^{v(2)}
-    ranges = []
-    for w in field._weights:
-        shortfall = e2 - w
-        t = 0
-        while field.ramification_index * t < shortfall:
-            t += 1
-        ranges.append(range(2 ** t))
-    for assignment in product(*ranges):
-        z = PadicElement(field, assignment, 1)
-        y = s * (field.one() + pi * z)
-        if (y * y - u).valuation() >= threshold:
-            return True
-    return False
+        vec |= (field._res_pow(r, (q - 1) // 2) != field._res_one()) << 1
+    else:
+        e, f = field.ramification_index, field.residue_degree
+        s = field._lift_residue(field._res_pow(r, q // 2 - 1))  # s^2 = 1 / r
+        u = u * s * s
+        pinv = pi.inverse()
+        k = (u - 1).valuation()
+        while k < 2 * e:
+            a = field._to_residue((u - 1) * pinv ** k)
+            if k % 2:
+                for i, bit in enumerate(a):
+                    if bit:
+                        vec |= 1 << (1 + f * (k // 2) + i)
+                        u = u * (1 + field._monomial(field._unram[i]) * pi ** k)
+            else:
+                y = 1 + field._lift_residue(field._res_pow(a, q // 2)) * pi ** (k // 2)
+                u = u * y * y
+            k = (u - 1).valuation()
+        if k == 2 * e:
+            eps = field._to_residue(2 * pinv ** e)
+            # c = a / eps^2, as eps^(q - 1) = 1
+            c = field._res_mul(field._to_residue((u - 1) * pinv ** k),
+                               field._res_pow(eps, 2 * (q - 2)))
+            trace = sum(field._res_pow(c, 2 ** j)[0] for j in range(f)) % 2
+            vec |= trace << (field.degree + 1)
+    field._square_cache[key] = vec
+    return vec
 
 
 def _det(m: list) -> PadicElement:
@@ -639,75 +661,77 @@ def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
     return x
 
 
-def _square_mask(x: PadicElement, basis: Sequence[PadicElement]) -> int | None:
-    """The first mask (bit i selects basis[i]) for which x times the selected
-    basis elements is a square, or None when no product is."""
-    for mask in range(2 ** len(basis)):
-        prod_elem = x
-        for i in range(len(basis)):
-            if mask >> i & 1:
-                prod_elem = prod_elem * basis[i]
-        if is_square(prod_elem):
-            return mask
-    return None
+def _square_class_pool(K: LocalField):
+    """Candidate square class generators, in the order the greedy basis reads
+    them; built lazily, so a large p costs only the candidates read."""
+    yield K.uniformizer()
+    yield K.integer(-1)
+    for c in range(2, K.p):
+        yield K.integer(c)
+    for i, st in enumerate(K.steps):
+        if st.kind == "unramified":
+            g = K.gen(i)
+            yield g
+            for c in range(1, K.p):
+                yield g + K.integer(c)
+    pi = K.uniformizer()
+    e2 = K.ramification_index if K.p == 2 else 0
+    for j in range(1, 2 * e2 + 2):
+        for m in range(len(K._monomials)):
+            yield K.one() + pi ** j * K._monomial(m)
+    if K.p != 2:
+        # lifts of every residue; for odd p a unit is a square exactly when
+        # its residue is, so this pool always spans
+        for r in K._residue_elements():
+            yield K._lift_residue(r)
+
+
+def _reduce(rows: dict, vec: int) -> tuple[int, int]:
+    """Reduce a class vector by echelon rows {top bit: (vector, basis mask)}:
+    the remainder, and the mask of the basis elements whose classes were
+    added to it."""
+    mask = 0
+    while vec and vec.bit_length() - 1 in rows:
+        row, row_mask = rows[vec.bit_length() - 1]
+        vec ^= row
+        mask ^= row_mask
+    return vec, mask
 
 
 def square_class_group(K: LocalField) -> list[PadicElement]:
     """Representatives generating K* / (K*)^2 (independent square classes).
 
     The group has order 4 for odd residue characteristic and 2^(d+2) for
-    2-adic fields of degree d.  Generators are found greedily from a fixed
-    candidate pool, checking independence exhaustively with exact squareness
-    tests.
+    2-adic fields of degree d.  Generators are taken greedily from a fixed
+    candidate pool: a candidate joins when its class vector is independent
+    of the chosen ones, decided by F_2 elimination.  The echelon rows are
+    kept, so `square_class` is one reduction.
     """
-    if K._class_cache is not None:
-        return list(K._class_cache)
-    if K.p != 2:
-        target_bits = 2
-    else:
-        target_bits = K.degree + 2
-
-    pool: list[PadicElement] = [K.uniformizer(), K.integer(-1)]
-    for c in range(2, K.p):
-        pool.append(K.integer(c))
-    for i, st in enumerate(K.steps):
-        if st.kind == "unramified":
-            g = K.gen(i)
-            pool.append(g)
-            for c in range(1, K.p):
-                pool.append(g + K.integer(c))
-    pi = K.uniformizer()
-    e2 = K.ramification_index if K.p == 2 else 0
-    one = K.one()
-    for j in range(1, 2 * e2 + 2):
-        for m in range(len(K._monomials)):
-            pool.append(one + pi ** j * K._monomial(m))
-    if K.p != 2:
-        # exhaustive backstop: lifts of every residue; for odd p a unit is a
-        # square exactly when its residue is, so this pool always spans
-        for r in K._residue_elements():
-            pool.append(K._lift_residue(r))
-
-    basis: list[PadicElement] = []
-    for cand in pool:
-        if len(basis) == target_bits:
-            break
-        if cand.is_zero():
-            continue
-        if _square_mask(cand, basis) is None:
-            basis.append(cand)
-    if len(basis) != target_bits:
-        raise RuntimeError("square class search did not reach the expected size")
-    K._class_cache = tuple(basis)
-    return list(basis)
+    if K._class_cache is None:
+        target = K.degree + 2 if K.p == 2 else 2
+        basis: list[PadicElement] = []
+        rows: dict = {}
+        for cand in _square_class_pool(K):
+            if cand.is_zero():
+                continue
+            vec, mask = _reduce(rows, _class_vector(cand))
+            if vec:
+                rows[vec.bit_length() - 1] = (vec, mask | (1 << len(basis)))
+                basis.append(cand)
+                if len(basis) == target:
+                    break
+        if len(basis) != target:
+            raise RuntimeError("square class search did not reach the expected size")
+        K._class_cache = (tuple(basis), rows)
+    return list(K._class_cache[0])
 
 
 def square_class(K: LocalField, x: PadicElement) -> tuple[int, ...]:
     """Coordinates of the class of x in K*/(K*)^2 over the canonical basis."""
     if x.is_zero():
         raise ValueError("zero has no square class")
-    basis = square_class_group(K)
-    mask = _square_mask(x, basis)
-    if mask is None:
-        raise RuntimeError("element did not match any square class")
-    return tuple(mask >> i & 1 for i in range(len(basis)))
+    if x.field != K:
+        raise ValueError("element does not belong to K")
+    size = len(square_class_group(K))
+    _, mask = _reduce(K._class_cache[1], _class_vector(x))
+    return tuple(mask >> i & 1 for i in range(size))

@@ -8,13 +8,17 @@ retry action matrices.
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
 the general cocycle machinery against, the `*_all_pairs` checks test the
 module, cocycle and permutation-action laws on every pair of group elements
-where the library tests generator edges only, and `reference_mul` is an
+where the library tests generator edges only, `reference_mul` is an
 independent product for p-adic towers that the tests compare the library's
-structure-constant tables against.
+structure-constant tables against, and `is_square_by_search` and
+`square_mask_by_search` decide squareness and square classes over 2-adic
+towers by exhaustive search, against the library's quadratic-defect
+reduction.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
@@ -26,7 +30,7 @@ from chatelet.modules import (
     permutation_module,
     trivial_module,
 )
-from chatelet.padic import LocalField
+from chatelet.padic import LocalField, PadicElement
 
 
 def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets") -> GModule:
@@ -252,3 +256,53 @@ def reference_mul(x, y) -> tuple:
         ring = _QuotientRing(ring, tuple(_unflatten(below, c.coords()) for c in st.coeffs))
     nested = ring.mul(_unflatten(field, x.coords()), _unflatten(field, y.coords()))
     return tuple(_flatten(nested, len(field.steps)))
+
+
+# -- squareness by search over 2-adic towers -----------------------------------------
+
+
+def is_square_by_search(x: PadicElement) -> bool:
+    """Squareness over a 2-adic tower by search: the unit part u is compared
+    against every candidate s(1 + pi z), s a lifted residue square root of u
+    and z over a transversal of O / pi^e with e = v(2).  A candidate
+    certifies squareness exactly when v(y^2 - u) > 2e, since
+    1 + pi^(2e + 1) O consists of squares.  2^(degree) candidates."""
+    field = x.field
+    if field.p != 2:
+        raise ValueError("the search covers 2-adic towers only")
+    if x.is_zero():
+        return True
+    v = x.valuation()
+    if v % 2 != 0:
+        return False
+    u = x / field.uniformizer() ** v if v else x
+    q = 2 ** field.residue_degree
+    sbar = field._res_pow(field._to_residue(u), q // 2)  # the square root in characteristic 2
+    s = field._lift_residue(sbar)
+    pi = field.uniformizer()
+    e2 = field.ramification_index
+    ranges = []
+    for w in field._weights:
+        t = 0
+        while e2 * t < e2 - w:
+            t += 1
+        ranges.append(range(2 ** t))
+    for assignment in product(*ranges):
+        y = s * (field.one() + pi * PadicElement(field, assignment, 1))
+        if (y * y - u).valuation() >= 2 * e2 + 1:
+            return True
+    return False
+
+
+def square_mask_by_search(x: PadicElement, basis) -> int | None:
+    """The first mask (bit i selects basis[i]) for which x times the selected
+    basis elements is a square by `is_square_by_search`, or None when no
+    product is."""
+    for mask in range(2 ** len(basis)):
+        prod_elem = x
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                prod_elem = prod_elem * b
+        if is_square_by_search(prod_elem):
+            return mask
+    return None

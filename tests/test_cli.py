@@ -1,6 +1,7 @@
 """Tests for the command line driver: job validation, execution, output."""
 
 import json
+import time
 
 import pytest
 
@@ -443,6 +444,26 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "jobs[0].matrix" in err
 
+
+
+@pytest.mark.parametrize("jtype", [[1], {"kind": "snf"}])
+def test_main_rejects_unhashable_job_type(jtype, tmp_path, capsys):
+    path = write_doc(tmp_path, doc({"type": jtype, "matrix": [[1]]}))
+    assert main([path]) == 2
+    assert capsys.readouterr().err.startswith("jobs[0].type: expected one of ")
+
+
+def test_square_class_over_a_large_prime_is_quick(tmp_path, capsys):
+    # 1000003 is 3 mod 4, so the greedy basis stops at -1 without building
+    # the rest of the candidate pool
+    path = write_doc(tmp_path, doc({"type": "square-class", "field": {"p": 1000003},
+                                    "elements": ["-1", "2", "1000003"]}))
+    start = time.perf_counter()
+    assert main([path]) == 0
+    assert time.perf_counter() - start < 1.0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["generators"] == ["1000003", "-1"]
+    assert [e["class"] for e in result["elements"]] == [[0, 1], [0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("n", [64, 65])

@@ -16,7 +16,7 @@ from chatelet.padic import (
     square_class_group,
     valuation,
 )
-from helpers import reference_mul
+from helpers import is_square_by_search, reference_mul, square_mask_by_search
 
 
 def test_base_field_arithmetic():
@@ -457,3 +457,170 @@ def test_square_class_of_powers_follows_parity(field, d):
     assert not is_square(x)
     for n in range(1, 5):
         assert (not any(square_class(field, x ** n))) == (n % 2 == 0)
+
+
+# -- pinned square class bytes ----------------------------------------------------
+# Recorded from the exhaustive-search implementation, so the greedy basis and
+# the coordinates over it cannot drift when the search is replaced.
+
+PINNED_CLASSES = {
+    "Q2": (
+        ["2", "-1", "3"],
+        "010 100 001 011 101 010 110 001 001 100 001 000 010"),
+    "Q2(sqrt2)": (
+        ["1*t1", "-1", "1 + 1*t1", "3"],
+        "0100 0000 0001 0101 0001 0100 0100 0001 0001 1000 0010 0001 0000 1000 "
+        "0010 1010 0011"),
+    "DEG6": (
+        ["1*t2", "-1", "1*t1", "1 + 1*t2", "1 + 1*t1*t2", "1 + 1*t1^2*t2",
+         "1 + 2/3*t1", "1 + 2/3*t1^2*t2"],
+        "01000000 00100011 00100011 01100011 00000000 01000000 01100011 00100011 "
+        "00100011 10000000 00010000 01000000 01100011 00100000 01100000 00000000 "
+        "01100011 10000000 00010000 10110011 01010000"),
+    "DEG8": (
+        ["1*t3", "-1", "1 + 1*t3", "1 + 1*t1*t3", "1 + 1*t2*t3", "1 + 1*t1*t2*t3",
+         "1 + 1*t1 + -2*t3", "1 + 1*t1*t2 + -2*t2*t3",
+         "1 + -2*t1*t2 + 4*t2*t3 + 1*t1*t2*t3", "1 + -4*t2 + 2*t2*t3 + 4*t1*t2*t3"],
+        "0100000000 0100000000 0000000000 0010000000 0100000000 0000001101 "
+        "0000001100 0001000000 0100011010 0100000000 0100000001"),
+    "Q3 unram": (
+        ["3", "1 + 1*t1"],
+        "00 00 10 00 10 00 00 10 10 10 00 00 00 00 01 01 10"),
+    "Q5(sqrt5)": (
+        ["1*t1", "2"],
+        "00 01 01 00 00 01 01 01 01 10 00 00 01 10 00 01 00"),
+}
+
+PINNED_FIELDS = {
+    "Q2": Q2,
+    "Q2(sqrt2)": Q2.extend_eisenstein([-2, 0]),
+    "DEG6": DEG6,
+    "DEG8": DEG8,
+    "Q3 unram": LocalField.qp(3).extend_unramified([1, 0]),
+    "Q5(sqrt5)": LocalField.qp(5).extend_eisenstein([-5, 0]),
+}
+
+
+def _pinned_elements(field):
+    pi = field.uniformizer()
+    gens = [field.gen(i) for i in range(len(field.steps))]
+    if field == DEG8:
+        t1, t2, _ = gens
+        return [field.integer(n) for n in (-1, 3, 5)] + [
+            pi + 1, t2 + 1, t2 * 4 + 1, t2 * pi * 2 + 1, t1 * pi + 1,
+            t1 + t2, pi * 4 + 7, t1 * t2 * pi ** 3 + 3]
+    out = [field.integer(n) for n in (-1, 2, 3, 5, 6, 7, -2, 12)]
+    out += [field.rational(Fraction(1, 3)), pi, field.one() + pi,
+            field.one() + pi ** 3, field.integer(3) + pi * 2]
+    for g in gens:
+        out += [g, g + 1, g + 2, g * g + 3 * g + 1]
+    return out
+
+
+@pytest.mark.parametrize("name", list(PINNED_CLASSES))
+def test_square_class_bytes_are_pinned(name):
+    field = PINNED_FIELDS[name]
+    generators, classes = PINNED_CLASSES[name]
+    assert [b.as_string() for b in square_class_group(field)] == generators
+    got = ["".join(map(str, square_class(field, x))) for x in _pinned_elements(field)]
+    assert got == classes.split()
+
+
+# -- the square class map against the search oracle --------------------------------
+
+_Q2_SQRT2 = Q2.extend_eisenstein([-2, 0])
+_F4 = Q2.extend_unramified([1, 1])
+# residue degree f in {1, 2, 3} and ramification index e in {1, 2, 4}
+SEARCH_TOWERS = {
+    "Q2": Q2,
+    "f2e1": _F4,
+    "f3e1": Q2.extend_unramified([1, 1, 0]),
+    "f1e2": _Q2_SQRT2,
+    "Q2(i)": Q2.extend_eisenstein([2, -2]),
+    # an unramified step above an Eisenstein one
+    "f2e2": _Q2_SQRT2.extend_unramified([1, 1]),
+    # pi^2 = 2w with w a cube root of unity, so 2 / pi^2 has residue w^2,
+    # not 1, and the level-2e trace test must divide by it
+    "f2e2 twisted": _F4.extend_eisenstein([-2 * _F4.gen(0), 0]),
+    "deg6": DEG6,
+    "f1e4": _Q2_SQRT2.extend_eisenstein([-_Q2_SQRT2.gen(0), 0]),
+    "deg8": DEG8,
+}
+SMALL_TOWERS = [name for name, field in SEARCH_TOWERS.items() if field.degree <= 4]
+
+
+def _defect_element(rng, field):
+    """y^2 (1 + pi^j z) with j up to 2e + 1, so every defect level shows up;
+    zero for a zero factor."""
+    n = len(field._monomials)
+
+    def draw():
+        return field.from_coords([Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
+                                  for _ in range(n)])
+
+    y = draw()
+    j = rng.randint(0, 2 * field.ramification_index + 1)
+    return y * y * (1 + field.uniformizer() ** j * draw())
+
+
+@pytest.mark.parametrize("name", list(SEARCH_TOWERS))
+def test_is_square_matches_search(name):
+    field = SEARCH_TOWERS[name]
+    rng = random.Random(name)
+    verdicts = []
+    for _ in range(40):
+        x = _defect_element(rng, field)
+        if x.is_zero():
+            continue
+        verdicts.append(is_square_by_search(x))
+        assert is_square(x) == verdicts[-1], x
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", SMALL_TOWERS)
+def test_square_class_matches_search(name):
+    field = SEARCH_TOWERS[name]
+    basis = square_class_group(field)
+    rng = random.Random(name)
+    for _ in range(8):
+        x = _defect_element(rng, field)
+        if x.is_zero():
+            continue
+        mask = square_mask_by_search(x, basis)
+        assert square_class(field, x) == tuple(mask >> i & 1 for i in range(len(basis)))
+
+
+@pytest.mark.parametrize("name", list(SEARCH_TOWERS) + ["Q3 unram", "Q5(sqrt5)"])
+def test_basis_classes_are_unit_vectors(name):
+    field = SEARCH_TOWERS.get(name) or PINNED_FIELDS[name]
+    basis = square_class_group(field)
+    # |K*/(K*)^2| is 2^(d + 2) over Q_2 and 4 for odd p
+    assert len(basis) == (field.degree + 2 if field.p == 2 else 2)
+    for i, b in enumerate(basis):
+        assert square_class(field, b) == tuple(int(j == i) for j in range(len(basis)))
+
+
+def _twisted_elements(data, field, count):
+    """Nonzero draws, each either z or 1 + pi^j z with j up to 2e + 1."""
+    out = []
+    for z in _elements(data, field, count):
+        j = data.draw(st.integers(-1, 2 * field.ramification_index + 1))
+        x = z if j < 0 else 1 + field.uniformizer() ** j * z
+        assume(not x.is_zero())
+        out.append(x)
+    return out
+
+
+@towers
+@examples
+@given(data=st.data())
+def test_square_class_is_a_homomorphism(field, data):
+    x, y = _twisted_elements(data, field, 2)
+    cx, cy = square_class(field, x), square_class(field, y)
+    assert square_class(field, x * y) == tuple(a ^ b for a, b in zip(cx, cy))
+    assert not any(square_class(field, x * x))
+
+
+def test_square_class_rejects_a_foreign_element():
+    with pytest.raises(ValueError):
+        square_class(DEG6, Q2.integer(3))
