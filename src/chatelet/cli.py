@@ -15,9 +15,10 @@ of five types:
 
 Output is deterministic: the same document always produces the same bytes.
 Exit codes: 0 success, 2 invalid input (every problem is reported with the
-path of the offending field), 4 unexpected internal failure.  Exit code 3 is
-reserved for precision exhaustion; the arithmetic here is exact, so it is
-never used, and the --precision flag is accepted but has no effect.
+path of the offending field), 4 unexpected internal failure, including a
+result that cannot be encoded (nothing is written to stdout then).  Exit
+code 3 is reserved for precision exhaustion; the arithmetic here is exact,
+so it is never used, and the --precision flag is accepted but has no effect.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ def _as_matrix(value, path, errors, square=False):
         elif len(cells) != width:
             _err(errors, f"{path}[{i}]", "rows must all have the same length")
             return None
-        parsed = []
-        for j, cell in enumerate(cells):
-            n = _as_int(cell, f"{path}[{i}][{j}]", errors)
-            if n is None:
-                return None
-            parsed.append(n)
-        out.append(parsed)
+        # the per-cell check builds a path string per cell; run it only
+        # when some cell is not a plain int
+        if not all(type(cell) is int for cell in cells):
+            for j, cell in enumerate(cells):
+                if _as_int(cell, f"{path}[{i}][{j}]", errors) is None:
+                    return None
+        out.append(cells)
     if square and len(out) != width:
         _err(errors, path, "matrix must be square")
         return None
@@ -727,6 +728,30 @@ def run(document, trace: bool = False):
     return [thunk() for thunk in thunks], None
 
 
+def _to_json(value, indent: str = "") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), nested at indent.
+
+    With an indent, json.dumps encodes in pure Python one element at a time,
+    and a Smith transform is hundreds of integers; here a list of integers
+    is joined in one step.  Only nonempty lists and string-keyed dicts are
+    laid out here; every other value is left to json.dumps, so the bytes are
+    the same.
+    """
+    inner = indent + "  "
+    if type(value) is list and value:
+        brackets = "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_to_json(x, inner) for x in value]
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        brackets = "{}"
+        items = [json.dumps(k) + ": " + _to_json(v, inner) for k, v in sorted(value.items())]
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _render_text(results) -> str:
     lines = []
     for i, r in enumerate(results):
@@ -758,13 +783,14 @@ def _render_text(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chatelet",
         description="exact invariants of group modules, p-adic fields, and "
                     "conic bundle surfaces",
-        epilog="exit codes: 0 ok, 2 invalid input, 4 internal error "
-               "(3 is reserved and never raised: arithmetic is exact)")
+        epilog="exit codes: 0 ok, 2 invalid input, 4 internal error or "
+               "output that cannot be encoded (3 is reserved and never "
+               "raised: arithmetic is exact)")
     parser.add_argument("input", help="path to a JSON job document, or - for stdin")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--precision", type=int, default=None,
@@ -774,7 +800,16 @@ def main(argv=None) -> int:
                         help="reserved; no job type uses randomness")
     parser.add_argument("--trace", action="store_true",
                         help="include rule traces and witness detail")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: parsing leaves the parser unchanged, and building it costs more
+# than a small job
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.input == "-":
@@ -792,9 +827,17 @@ def main(argv=None) -> int:
         print(f"document: invalid JSON ({exc})", file=sys.stderr)
         return 2
 
+    # encoding stays inside the guard: a result that cannot be written out
+    # is an internal error, and nothing reaches stdout
     try:
         results, errors = run(document, trace=args.trace)
-    except Exception as exc:  # pragma: no cover - defensive
+        if errors is None:
+            if args.format == "json":
+                payload = {"version": 1, "results": results}
+                output = _to_json(payload) + "\n"
+            else:
+                output = _render_text(results)
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
@@ -803,11 +846,7 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        payload = {"version": 1, "results": results}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_render_text(results))
+    sys.stdout.write(output)
     return 0
 
 

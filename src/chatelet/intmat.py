@@ -43,6 +43,15 @@ class IntMatrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def _wrap(cls, rows: Sequence[Sequence[int]], ncols: int) -> "IntMatrix":
+        """A matrix over rows of Python ints of width ncols, taken as given."""
+        M = cls.__new__(cls)
+        M.rows = tuple(map(tuple, rows))
+        M.nrows = len(M.rows)
+        M.ncols = ncols
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
@@ -205,134 +214,150 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Row echelon form of augmented rows [s | t], built by insertion.
+
+    The first n entries s of a row are its matrix part and the rest t its
+    transform part, which every operation carries along.  A transform part
+    may end early, its missing entries being zeros, as long as no row is
+    shorter than one before it: identity rows cost nothing past their one,
+    and placed rows are padded when a longer row arrives.
+
+    Rows are inserted one at a time (Kannan and Bachem 1979).  A new row is
+    cleared down the pivots in column order: one exact subtraction when the
+    pivot divides its entry, otherwise a two-by-two Bezout step that
+    replaces the pivot by the gcd.  After each insertion, every pivot that
+    it placed or changed reduces the entries above it into [0, pivot), left
+    to right.  So the echelon stays near the Hermite form of the rows
+    inserted so far, and its entries stay near the size of the minors of
+    those rows.  Pivots are positive.
+
+    Returns the pivot rows in order of their pivot columns, and the rows
+    whose matrix part vanished, in insertion order.
+    """
+    piv: list[list[int]] = []
+    cols: list[int] = []
+    zero = []
+    width = 0
+    for r in rows:
+        if len(r) > width:
+            pad = [0] * (len(r) - width)
+            for P in piv:
+                P += pad
+            width = len(r)
+        changed = []
+        c = 0
+        while c < n and not r[c]:
+            c += 1
+        i = 0
+        k = len(cols)
+        while c < n:
+            while i < k and cols[i] < c:
+                i += 1
+            if i == k or cols[i] > c:
+                if r[c] < 0:
+                    r[c:] = [-x for x in r[c:]]
+                piv.insert(i, r)
+                cols.insert(i, c)
+                changed.append(i)
+                break
+            P = piv[i]
+            a = P[c]
+            b = r[c]
+            if b % a:
+                g, x, y = _bezout(a, b)
+                a //= g
+                b //= g
+                Pc, rc = P[c:], r[c:]
+                P[c:] = [x * p + y * s for p, s in zip(Pc, rc)]
+                r[c:] = [a * s - b * p for p, s in zip(Pc, rc)]
+                changed.append(i)
+            else:
+                q = b // a
+                r[c:] = [s - q * p for s, p in zip(r[c:], P[c:])]
+            c += 1
+            while c < n and not r[c]:
+                c += 1
+            i += 1
+        else:
+            zero.append(r)
+        # changed pivots come in column order, and an insertion lands after
+        # every pivot it changed, so these indices are still current
+        for i in changed:
+            c = cols[i]
+            P = piv[i][c:]
+            p = P[0]
+            for R in piv[:i]:
+                q = R[c] // p
+                if q:
+                    R[c:] = [s - q * t for s, t in zip(R[c:], P)]
+    return piv, zero
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
     Returns S, U, V with U @ A @ V == S, det(U) = +-1, det(V) = +-1, S diagonal
     with nonnegative entries d1 | d2 | ... and zero entries trailing.
 
-    Entries in the pivot's row and column are cleared with two-by-two Bezout
-    transforms, which turn the pivot into a gcd in a single step instead of
-    chipping at it with repeated division; the pivot value strictly decreases
-    whenever a cleared entry was not a multiple of it, so each stage
-    terminates without the entry blow-up of the naive remainder dance.
-    Divisibility of later pivots is forced by folding any non-divisible entry
-    into the pivot row before moving on.
+    S is reached through Hermite forms (Kannan and Bachem 1979).  A row
+    sweep puts [A | I] in reduced echelon form (`_echelon`); its rows with a
+    zero matrix part are the last rows of U.  A column sweep does the same
+    to the r = rank(A) nonzero rows, over [S^T | I]; its zero rows are the
+    last columns of V.  What is left is an r x r triangular matrix, and row
+    and column sweeps alternate on it until it is diagonal.  Two-by-two
+    steps on the diagonal alone then turn each pair (a, b) with a not
+    dividing b into (gcd, lcm).  Because every sweep keeps its echelon
+    reduced, the entries of U and V stay near the size of the largest
+    minors of A, where unreduced elimination can grow them without bound
+    (README states the bound the tests hold them to).  The transforms are
+    one deterministic choice among many; S is unique.
     """
     m, n = A.shape
-    S = [list(row) for row in A.rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    piv, zero = _echelon([list(row) + [0] * i + [1] for i, row in enumerate(A.rows)], n)
+    r = len(piv)
+    # transforms as rows of U and of V^T; rows past r stay as the sweeps left them
+    trans = [_transforms(piv + zero, n, m)]
+    piv, zero = _echelon([[P[j] for P in piv] + [0] * j + [1] for j in range(n)], r)
+    trans.append(_transforms(piv + zero, r, n))
+    # T is upper triangular: S^T after a column sweep, S after a row sweep;
+    # the columns of T are the lines the next sweep inserts
+    T = [P[:r] for P in piv]
+    side = 0
+    while any(any(row[i + 1:]) for i, row in enumerate(T)):
+        piv, _ = _echelon([list(col) + t for col, t in zip(zip(*T), trans[side])], r)
+        trans[side][:r] = [P[r:] for P in piv]
+        T = [P[:r] for P in piv]
+        side ^= 1
+    U, VT = trans
+    d = [T[i][i] for i in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            a, b = d[i], d[j]
+            if b % a:
+                # diag(a, b) -> diag(g, ab/g) with [[x, y], [-b/g, a/g]] on
+                # the left and [[1, -yb/g], [1, xa/g]] on the right
+                g, x, y = _bezout(a, b)
+                a //= g
+                b //= g
+                Ui, Uj = U[i], U[j]
+                U[i] = [x * s + y * t for s, t in zip(Ui, Uj)]
+                U[j] = [a * t - b * s for s, t in zip(Ui, Uj)]
+                Vi, Vj = VT[i], VT[j]
+                yb, xa = y * b, x * a
+                VT[i] = [s + t for s, t in zip(Vi, Vj)]
+                VT[j] = [xa * t - yb * s for s, t in zip(Vi, Vj)]
+                d[i], d[j] = g, a * b * g
+    S = [[0] * n for _ in range(m)]
+    for i in range(r):
+        S[i][i] = d[i]
+    return SmithDecomposition(S=IntMatrix._wrap(S, n), U=IntMatrix._wrap(U, m),
+                              V=IntMatrix._wrap(zip(*VT), n))
 
-    def row_add(i: int, j: int, c: int) -> None:
-        # row i += c * row j, applied to S and U alike
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
-    def row_swap(i: int, j: int) -> None:
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_negate(i: int) -> None:
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
-    def row_combine(i: int, j: int, x: int, y: int, u: int, v: int) -> None:
-        # (row i, row j) <- (x*row i + y*row j, u*row i + v*row j)
-        for M in (S, U):
-            ri, rj = M[i], M[j]
-            M[i] = [x * a + y * b for a, b in zip(ri, rj)]
-            M[j] = [u * a + v * b for a, b in zip(ri, rj)]
-
-    def col_add(j: int, k: int, c: int) -> None:
-        # column j += c * column k, applied to S and V alike
-        for r in S:
-            r[j] += c * r[k]
-        for r in V:
-            r[j] += c * r[k]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in S:
-            r[j], r[k] = r[k], r[j]
-        for r in V:
-            r[j], r[k] = r[k], r[j]
-
-    def col_combine(j: int, k: int, x: int, y: int, u: int, v: int) -> None:
-        # (col j, col k) <- (x*col j + y*col k, u*col j + v*col k)
-        for M in (S, V):
-            for r in M:
-                a, b = r[j], r[k]
-                r[j] = x * a + y * b
-                r[k] = u * a + v * b
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = S[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            for i in range(t + 1, m):
-                b = S[i][t]
-                if b == 0:
-                    continue
-                a = S[t][t]
-                if b % a == 0:
-                    row_add(i, t, -(b // a))
-                else:
-                    g, x, y = _bezout(a, b)
-                    row_combine(t, i, x, y, -(b // g), a // g)
-            dirty = False
-            for j in range(t + 1, n):
-                b = S[t][j]
-                if b == 0:
-                    continue
-                a = S[t][t]
-                if b % a == 0:
-                    col_add(j, t, -(b // a))
-                else:
-                    g, x, y = _bezout(a, b)
-                    col_combine(t, j, x, y, -(b // g), a // g)
-                    # a column transform mixes column t with column j in
-                    # every row, so the cleared part of column t is dirty
-                    dirty = True
-            if dirty and any(S[i][t] for i in range(t + 1, m)):
-                continue
-            # pivot now clears its row and column; force divisibility
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
-
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            row_negate(i)
-
-    diag = [S[i][i] for i in range(min(m, n))]
-    for a, b in zip(diag, diag[1:]):
-        if a == 0 and b != 0:
-            raise AssertionError("zero diagonal entry before a nonzero one")
-        if a != 0 and b % a != 0:
-            raise AssertionError("Smith diagonal not a divisibility chain")
-
-    return SmithDecomposition(S=IntMatrix(S, ncols=n), U=IntMatrix(U, ncols=m),
-                              V=IntMatrix(V, ncols=n))
+def _transforms(rows: list[list[int]], start: int, size: int) -> list[list[int]]:
+    """The transform parts of augmented rows, padded with zeros to size."""
+    return [R[start:] + [0] * (start + size - len(R)) for R in rows]
 
 
 def kernel_basis(A: IntMatrix, dec: SmithDecomposition | None = None) -> list[Vector]:

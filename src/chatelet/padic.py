@@ -129,7 +129,8 @@ class LocalField:
 
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
                  "_monomials", "_weights", "_table", "_table_den", "_unram",
-                 "_res_table", "_square_cache", "_class_cache", "_inv_cache")
+                 "_res_table", "_square_cache", "_class_cache", "_inv_cache",
+                 "_pi_powers")
 
     def __init__(self, p: int, steps: tuple):
         self.p = p
@@ -186,6 +187,7 @@ class LocalField:
         self._square_cache: dict = {}
         self._class_cache = None
         self._inv_cache: dict = {}
+        self._pi_powers: tuple | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -363,6 +365,20 @@ class LocalField:
             raise ValueError("wrong number of coordinates")
         den = lcm(*(c.denominator for c in vals))
         return PadicElement(self, [int(c * den) for c in vals], den)
+
+    def _pi_power(self, k: int) -> "PadicElement":
+        """pi^k for -2e <= k <= 2e, the powers the square class map uses,
+        built on first use and kept in one tuple per field."""
+        e2 = 2 * self.ramification_index
+        if self._pi_powers is None:
+            pi = self.uniformizer()
+            pinv = pi.inverse()
+            up, down = [self.one()], [self.one()]
+            for _ in range(e2):
+                up.append(up[-1] * pi)
+                down.append(down[-1] * pinv)
+            self._pi_powers = tuple(reversed(down)) + tuple(up[1:])
+        return self._pi_powers[e2 + k]
 
     def uniformizer(self) -> "PadicElement":
         for i in range(len(self.steps) - 1, -1, -1):
@@ -599,23 +615,24 @@ def _class_vector(x: PadicElement) -> int:
         e, f = field.ramification_index, field.residue_degree
         s = field._lift_residue(field._res_pow(r, q // 2 - 1))  # s^2 = 1 / r
         u = u * s * s
-        pinv = pi.inverse()
-        k = (u - 1).valuation()
+        w = u - 1
+        k = w.valuation()
         while k < 2 * e:
-            a = field._to_residue((u - 1) * pinv ** k)
+            a = field._to_residue(w * field._pi_power(-k))
             if k % 2:
                 for i, bit in enumerate(a):
                     if bit:
                         vec |= 1 << (1 + f * (k // 2) + i)
-                        u = u * (1 + field._monomial(field._unram[i]) * pi ** k)
+                        u = u * (1 + field._monomial(field._unram[i]) * field._pi_power(k))
             else:
-                y = 1 + field._lift_residue(field._res_pow(a, q // 2)) * pi ** (k // 2)
+                y = 1 + field._lift_residue(field._res_pow(a, q // 2)) * field._pi_power(k // 2)
                 u = u * y * y
-            k = (u - 1).valuation()
+            w = u - 1
+            k = w.valuation()
         if k == 2 * e:
-            eps = field._to_residue(2 * pinv ** e)
+            eps = field._to_residue(2 * field._pi_power(-e))
             # c = a / eps^2, as eps^(q - 1) = 1
-            c = field._res_mul(field._to_residue((u - 1) * pinv ** k),
+            c = field._res_mul(field._to_residue(w * field._pi_power(-k)),
                                field._res_pow(eps, 2 * (q - 2)))
             trace = sum(field._res_pow(c, 2 ** j)[0] for j in range(f)) % 2
             vec |= trace << (field.degree + 1)

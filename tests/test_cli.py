@@ -1,10 +1,16 @@
 """Tests for the command line driver: job validation, execution, output."""
 
+import io
 import json
+import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chatelet import cli
 from chatelet.cli import ExpressionError, main, parse_element, run
 from chatelet.intmat import IntMatrix
 from chatelet.padic import LocalField
@@ -479,3 +485,73 @@ def test_main_inert_flags(tmp_path, capsys):
     path = write_doc(tmp_path, doc({"type": "snf", "matrix": [[3]]}))
     assert main([path, "--precision", "10", "--seed", "7", "--trace"]) == 0
     assert json.loads(capsys.readouterr().out)["results"][0]["diagonal"] == [3]
+
+
+def _run_stdin(monkeypatch, document, *flags):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    return main(["-", *flags])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts ints of any length to str")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_main_unencodable_result_exits_4(fmt, monkeypatch, capsys):
+    # past Python's int-to-str digit limit neither format can write the result
+    result = {"type": "snf", "diagonal": [10 ** 5000], "rank": 1, "u": [[1]], "v": [[1]]}
+    monkeypatch.setattr(cli, "run", lambda document, trace=False: ([result], None))
+    assert _run_stdin(monkeypatch, doc({"type": "snf", "matrix": [[1]]}), "--format", fmt) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ")
+
+
+def test_main_result_json_cannot_encode_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", lambda document, trace=False: ([{"type": object()}], None))
+    assert _run_stdin(monkeypatch, doc({"type": "snf", "matrix": [[1]]})) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ")
+
+
+def test_main_repeated_calls_match_the_first(tmp_path, capsys):
+    # one parser serves every call: flags from one call must not leak into the next
+    analyze = {"type": "analyze",
+               "surface": {"base": {"p": 5, "steps": []}, "d": "2", "roots": ["1", "2", "3", "4"]},
+               "extension": {"p": 5, "steps": [{"kind": "eisenstein", "poly": [-5, 0]}]}}
+    path = write_doc(tmp_path, doc({"type": "snf", "matrix": [[2, 4], [6, 8]]}, analyze))
+    calls = [(), ("--format", "text"), ("--trace",), (), ("--trace",), ("--format", "text"),
+             ("--format", "text", "--trace"), (), ("--format", "text"), ("--trace",)]
+    first = {}
+    for flags in calls:
+        assert main([path, *flags]) == 0
+        out = capsys.readouterr().out
+        assert out == first.setdefault(flags, out)
+    assert first[()] != first[("--trace",)] != first[("--format", "text")]
+
+
+def test_main_dense_snf_30x30_exits_0(tmp_path, capsys):
+    rng = random.Random(30)
+    matrix = [[rng.randint(-99, 99) for _ in range(30)] for _ in range(30)]
+    path = write_doc(tmp_path, doc({"type": "snf", "matrix": matrix}))
+    assert main([path]) == 0
+    (r,) = json.loads(capsys.readouterr().out)["results"]
+    A, U, V = IntMatrix(matrix), IntMatrix(r["u"]), IntMatrix(r["v"])
+    assert r["rank"] == 30
+    assert U @ A @ V == IntMatrix.diagonal(r["diagonal"])
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=6))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(st.integers(), max_size=6)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+def test_to_json_matches_json_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)

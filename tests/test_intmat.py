@@ -318,3 +318,52 @@ def test_subquotient_membership_matches_solve(data):
     for v in members:
         back = q.lift(q.coords(v))
         assert solve(D, [a - b for a, b in zip(back, v)]) is not None
+
+
+def _snf_draws():
+    """Seeded (matrix, entry bound) pairs: empty shapes, 1 x 1, zero matrices,
+    square, tall and wide (n = m +- 3, m +- 6), and rank-deficient draws whose
+    rows are partly differences of two others, with entries in +-9 and +-99."""
+    rng = random.Random(20261018)
+    draws = [(IntMatrix([], ncols=k), 9) for k in (0, 1, 4)]
+    draws += [(IntMatrix.zeros(k, 0), 9) for k in (1, 4)]
+    draws += [(IntMatrix.zeros(m, n), 9) for m, n in ((1, 1), (3, 5), (6, 2))]
+    for bound in (9, 99):
+        draws.append((random_matrix(rng, 1, 1, bound), bound))
+        shapes = [(m, m) for m in (2, 5, 9, 14, 20, 30)]
+        shapes += [(m, m + d) for m in (4, 12, 24) for d in (-6, -3, 3, 6)]
+        for m, n in shapes:
+            draws.append((random_matrix(rng, m, n, bound), bound))
+        for m, n in ((8, 8), (16, 12), (12, 16), (25, 25), (30, 27)):
+            rows = [list(r) for r in random_matrix(rng, m, n, bound).rows]
+            replaced = rng.sample(range(m), m // 3)
+            kept = [k for k in range(m) if k not in replaced]
+            for i in replaced:
+                a, b = rng.sample(kept, 2)
+                rows[i] = [x - y for x, y in zip(rows[a], rows[b])]
+            draws.append((IntMatrix(rows, ncols=n), bound))
+    return draws
+
+
+def test_snf_transforms_are_unimodular_and_bounded():
+    """U A V = S with the divisibility chain, det U = +-1 and det V = +-1 also
+    for singular A, and every entry of U and V has at most 8 h + 8 digits,
+    h = min(m, n) log10(B sqrt(max(m, n))) being about the digits of the
+    largest minor of A (Hadamard) for entries bounded by B."""
+    for A, bound in _snf_draws():
+        m, n = A.shape
+        dec = smith_normal_form(A)
+        # the size bound first: determinants of blown-up transforms take long
+        h = min(m, n) * math.log10(bound * math.sqrt(max(m, n, 1)))
+        limit = 10 ** math.floor(8 * h + 8)
+        assert all(abs(x) < limit for M in (dec.U, dec.V) for row in M.rows for x in row)
+        assert dec.U.shape == (m, m) and dec.V.shape == (n, n)
+        assert dec.U @ A @ dec.V == dec.S
+        for i in range(m):
+            for j in range(n):
+                assert dec.S.rows[i][j] == 0 or i == j
+        diag = dec.diagonal
+        r = dec.rank
+        assert all(d > 0 for d in diag[:r]) and not any(diag[r:])
+        assert all(b % a == 0 for a, b in zip(diag[:r], diag[1:r]))
+        assert abs(dec.U.det()) == 1 and abs(dec.V.det()) == 1
