@@ -67,6 +67,22 @@ class ExpressionError(ValueError):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(t\d+)|([+\-*/^()×])|(\S))")
 
+# largest bit length of a numerator or denominator that an element
+# expression may reach (3,010 decimal digits): a power is refused before it
+# is computed when |n| times the bit length of its base exceeds it
+MAX_ELEMENT_BITS = 10_000
+
+
+def _bits(value) -> int:
+    """The largest bit length among the numerators and denominator of an element."""
+    return max(max(abs(a) for a in value.nums).bit_length(), value.den.bit_length())
+
+
+def _bounded(value):
+    if _bits(value) > MAX_ELEMENT_BITS:
+        raise ExpressionError(f"value exceeds {MAX_ELEMENT_BITS} bits")
+    return value
+
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -76,6 +92,11 @@ def _tokenize(text: str) -> list:
         if m is None:
             break
         pos = m.end()
+        # a number with more significant digits than this exceeds
+        # MAX_ELEMENT_BITS, and past 4,300 digits int() itself refuses it
+        digits = (m.group(1) or m.group(2) or "").lstrip("t0")
+        if len(digits) > MAX_ELEMENT_BITS // 3:
+            raise ExpressionError(f"number exceeds {MAX_ELEMENT_BITS} bits")
         if m.group(1) is not None:
             tokens.append(("int", int(m.group(1))))
         elif m.group(2) is not None:
@@ -92,7 +113,7 @@ def parse_element(text, field: LocalField):
     """Evaluate an element expression: integers, generators t1, t2, ...,
     the operators + - * / ^, and parentheses."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return field.integer(text)
+        return _bounded(field.integer(text))
     if not isinstance(text, str):
         raise ExpressionError("element must be a string expression or an integer")
     tokens = _tokenize(text)
@@ -147,6 +168,8 @@ def parse_element(text, field: LocalField):
                 raise ExpressionError("exponent must be an integer literal")
             if sign < 0 and value.is_zero():
                 raise ExpressionError("zero cannot be inverted")
+            if val * _bits(value) > MAX_ELEMENT_BITS:
+                raise ExpressionError(f"power exceeds {MAX_ELEMENT_BITS} bits")
             return value ** (sign * val)
         return value
 
@@ -173,7 +196,7 @@ def parse_element(text, field: LocalField):
         raise ExpressionError("division by zero") from None
     if state["pos"] != len(tokens):
         raise ExpressionError("trailing input after expression")
-    return value
+    return _bounded(value)
 
 
 # -- validation helpers ----------------------------------------------------------
@@ -821,9 +844,11 @@ def main(argv=None) -> int:
         print(f"document: cannot read input ({exc})", file=sys.stderr)
         return 2
 
+    # an integer literal past the int-to-str digit limit raises a plain
+    # ValueError, the parent class of JSONDecodeError
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         print(f"document: invalid JSON ({exc})", file=sys.stderr)
         return 2
 

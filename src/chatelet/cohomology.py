@@ -191,7 +191,7 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
                 if not diff.is_zero():
                     constraints.append(diff)
 
-    z1 = solution_lattice(u_dim, [(C, M.relations) for C in constraints])
+    z1 = solution_lattice(u_dim, constraints, M.relations)
 
     b1: list[Vector] = []
     eye = IntMatrix.identity(r)
@@ -273,7 +273,7 @@ class CohMap:
     def kernel_invariants(self) -> tuple[int, ...]:
         s = len(self.source.invariants)
         rels = _diagonal_relations(self.target.invariants)
-        num = solution_lattice(s, [(self.matrix, rels)])
+        num = solution_lattice(s, [self.matrix], rels)
         return LatticeSubquotient(s, num, _diagonal_relations(self.source.invariants)).invariants
 
     def image_invariants(self) -> tuple[int, ...]:

@@ -1,15 +1,24 @@
 """Exact integer matrix arithmetic: Smith normal form and lattice subquotients.
 
 All computations use Python integers, so there is no overflow and no loss of
-precision anywhere.  The central decomposition is U * A * V = S with U and V
-unimodular and S diagonal, the diagonal entries nonnegative and each dividing
-the next.  Kernels, cokernels, integer linear solving, and finitely generated
-subquotients of Z^n all reduce to that decomposition.
+precision anywhere.  Lattices rest on one routine, the reduced row echelon
+form of `_echelon` (Kannan and Bachem 1979).  A lattice given by generators
+is kept as its echelon basis: coordinates and membership are read off it
+pivot by pivot (`_coordinates`), and `solution_lattice` finds the x with
+C x in a relation lattice from the rows of one echelon whose first part
+vanishes.  The Smith form U * A * V = S, with U and V unimodular and S
+diagonal with each entry dividing the next, is built from alternating
+echelon sweeps.  It is computed where invariants are read (the cyclic
+decomposition of a subquotient, `cokernel_structure`) and by the public
+`kernel_basis` and `solve`.  Determinants and exact inverses come from
+fraction-free Bareiss elimination (`_bareiss`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -116,7 +125,7 @@ class IntMatrix:
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} does not match {self.shape}")
-        return tuple(sum(row[k] * v[k] for k in range(self.ncols)) for row in self.rows)
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -461,39 +470,73 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     return IntMatrix([[d * x for x in row] for row in X], ncols=n)
 
 
-def solution_lattice(dim: int,
-                     blocks: Sequence[tuple[IntMatrix, Sequence[Sequence[int]]]]) -> list[Vector]:
-    """Generators of the lattice {x in Z^dim : C x in lattice(R) for every block (C, R)}.
+def _lattice_basis(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, Vector]]:
+    """The reduced echelon basis of the lattice spanned by vectors of length n,
+    as (c, P[c:]) for each basis row P with pivot column c."""
+    piv, _ = _echelon([list(v) for v in IntMatrix(vectors, ncols=n).rows], n)
+    cols = [next(i for i, x in enumerate(P) if x) for P in piv]
+    return [(c, tuple(P[c:])) for c, P in zip(cols, piv)]
 
-    Each block contributes the condition that C x lies in the lattice spanned
-    by the columns R.  Blocks are intersected one at a time, so each Smith
-    computation stays at the size of a single block instead of the full
-    stacked system.
+
+def _coordinates(basis: Sequence[tuple[int, Vector]], v: Sequence[int], n: int) -> Vector | None:
+    """Coordinates of a vector v of length n over an echelon basis
+    (`_lattice_basis`), or None when v lies outside the lattice.
+
+    Each pivot in turn divides its entry of v, and that multiple of its row
+    is subtracted; v lies in the lattice exactly when every division is
+    exact and nothing is left.
     """
-    L = IntMatrix.identity(dim)
-    for C, rels in blocks:
-        if L.ncols == 0:
-            break
-        reduced = C @ L
-        R = IntMatrix.from_columns([tuple(r) for r in rels], nrows=C.nrows)
-        big = hstack(reduced, R.scale(-1)) if R.ncols else reduced
-        ker = kernel_basis(big)
-        T = IntMatrix.from_columns([v[:L.ncols] for v in ker], nrows=L.ncols)
-        L = L @ T
-    return L.columns()
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} does not match dimension {n}")
+    v = list(v)
+    out = []
+    for c, P in basis:
+        q, rem = divmod(v[c], P[0])
+        if rem:
+            return None
+        if q:
+            v[c:] = [s - q * p for s, p in zip(v[c:], P)]
+        out.append(q)
+    return None if any(v) else tuple(out)
+
+
+def solution_lattice(dim: int, maps: Sequence[IntMatrix],
+                     relations: Sequence[Sequence[int]]) -> list[Vector]:
+    """Basis of the lattice {x in Z^dim : C x in lattice(relations) for every C in maps}.
+
+    The maps are intersected one at a time, starting from the standard
+    basis of Z^dim.  For a map C and the current basis x_1..x_k, one
+    echelon (`_echelon`) of the rows [r | 0], one per relation r, and
+    [C x_j | x_j] keeps the rows whose first part vanished: their tails are
+    combinations x of the x_j with C x in the relation lattice, and every
+    such x is a combination of them.  The relation rows go first, so one
+    that depends on the others vanishes whole and is dropped; the other
+    tails come from independent rows and form the next basis.
+    """
+    basis = list(IntMatrix.identity(dim).rows)
+    for C in maps:
+        m = C.nrows
+        rows = [list(r) for r in relations] + [[*C.apply(x), *x] for x in basis]
+        _, zero = _echelon(rows, m)
+        basis = [tuple(R[m:]) for R in zero if any(R[m:])]
+    return basis
+
+
+def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> Vector:
+    """The sum of c * v over coefficients c and vectors v of length n."""
+    return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n))
 
 
 class LatticeSubquotient:
     """The finitely generated abelian group (numerator lattice)/(denominator lattice).
 
     Both lattices live in Z^ambient_dim and are given by generating vectors;
-    the denominator must be contained in the numerator.  The group is put in
-    coordinates by two Smith decompositions.  The first, U num V = S with
-    rank r and diagonal d_1..d_r, gives a basis of the numerator lattice
-    (the first r columns of num V, which equal U^-1 S) and with it the basis
-    coordinates of every vector: (U v)_i / d_i for i < r, where v lies in
-    the lattice exactly when these divisions are exact and (U v)_i = 0 for
-    i >= r.  The second diagonalizes the denominator's basis coordinates.
+    the denominator must be contained in the numerator.  The numerator is
+    kept as its reduced echelon basis (`_echelon`), which gives the basis
+    coordinates of every vector (`_coordinates`) and decides membership on
+    the way.  A Smith decomposition U X V = S of the denominator's basis
+    coordinates X then reads off the invariants, and the columns of U^-1
+    give the generators.
 
     Attributes:
         invariants: cyclic decomposition orders, torsion entries first in
@@ -507,16 +550,12 @@ class LatticeSubquotient:
                  numerator_gens: Sequence[Sequence[int]],
                  denominator_gens: Sequence[Sequence[int]]):
         self.ambient_dim = ambient_dim
-        num = IntMatrix.from_columns(numerator_gens, nrows=ambient_dim)
-        dec_num = smith_normal_form(num)
-        r = dec_num.rank
-        self._u = dec_num.U
-        self._d = dec_num.diagonal[:r]
-        basis = IntMatrix.from_columns((num @ dec_num.V).columns()[:r], nrows=ambient_dim)
+        self._basis = _lattice_basis(numerator_gens, ambient_dim)
+        r = len(self._basis)
 
         den_cols = []
         for g in denominator_gens:
-            x = self._basis_coords(g)
+            x = _coordinates(self._basis, g, ambient_dim)
             if x is None:
                 raise ValueError("denominator generator lies outside the numerator lattice")
             den_cols.append(x)
@@ -529,51 +568,31 @@ class LatticeSubquotient:
         kept = [i for i in range(r) if full[i] != 1]
         self._kept = kept
         self.invariants: tuple[int, ...] = tuple(full[i] for i in kept)
-        gen_matrix = basis @ ux_inv
-        self.generators: list[Vector] = [gen_matrix.col(i) for i in kept]
-        self.order: int | None = None
-        if all(d != 0 for d in self.invariants):
-            o = 1
-            for d in self.invariants:
-                o *= d
-            self.order = o
-
-    def _basis_coords(self, v: Sequence[int]) -> Vector | None:
-        """Coordinates of v in the numerator basis, or None when v is outside."""
-        c = self._u.apply(v)
-        r = len(self._d)
-        if any(c[r:]) or any(ci % d for ci, d in zip(c, self._d)):
-            return None
-        return tuple(ci // d for ci, d in zip(c, self._d))
+        basis = [(0,) * c + P for c, P in self._basis]
+        self.generators: list[Vector] = [_combination(ux_inv.col(i), basis, ambient_dim)
+                                         for i in kept]
+        self.order: int | None = prod(self.invariants) if all(self.invariants) else None
 
     def contains(self, v: Sequence[int]) -> bool:
         """Membership of an ambient vector in the numerator lattice."""
-        return self._basis_coords(v) is not None
+        return _coordinates(self._basis, v, self.ambient_dim) is not None
 
     def coords(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector, reduced modulo the invariants.
 
         Raises ValueError when v is not in the numerator lattice.
         """
-        y = self._basis_coords(v)
+        y = _coordinates(self._basis, v, self.ambient_dim)
         if y is None:
             raise ValueError("vector not in the numerator lattice")
         w = self._ux.apply(y)
-        out = []
-        for pos, i in enumerate(self._kept):
-            d = self.invariants[pos]
-            out.append(w[i] % d if d != 0 else w[i])
-        return tuple(out)
+        return self.reduce_coords([w[i] for i in self._kept])
 
     def lift(self, coords: Sequence[int]) -> Vector:
         """An ambient representative of the element with the given coordinates."""
         if len(coords) != len(self.generators):
             raise ValueError("coordinate length mismatch")
-        v = [0] * self.ambient_dim
-        for c, g in zip(coords, self.generators):
-            for k in range(self.ambient_dim):
-                v[k] += c * g[k]
-        return tuple(v)
+        return _combination(coords, self.generators, self.ambient_dim)
 
     def is_zero_element(self, v: Sequence[int]) -> bool:
         return all(c == 0 for c in self.coords(v))

@@ -19,9 +19,9 @@ from .intmat import (
     IntMatrix,
     LatticeSubquotient,
     Vector,
-    smith_normal_form,
+    _coordinates,
+    _lattice_basis,
     solution_lattice,
-    solve,
 )
 
 
@@ -99,7 +99,7 @@ class GModule:
     """A module over a finite group, in generator/relation/action-matrix form."""
 
     __slots__ = ("group", "rank", "relations", "action", "name",
-                 "_rel_matrix", "_rel_dec", "_coeff")
+                 "_rel_matrix", "_rel_basis", "_coeff")
 
     def __init__(self, group: FiniteGroup, rank: int,
                  relations: Sequence[Sequence[int]],
@@ -115,7 +115,7 @@ class GModule:
         if len(self.action) != group.order:
             raise ValueError("need one action matrix per group element")
         self._rel_matrix = IntMatrix.from_columns(self.relations, nrows=rank)
-        self._rel_dec = smith_normal_form(self._rel_matrix)
+        self._rel_basis = _lattice_basis(self.relations, rank)
         self._coeff: FpAbGroup | None = None
         if check:
             self.validate()
@@ -123,7 +123,7 @@ class GModule:
     # -- structural checks ----------------------------------------------------
 
     def in_relation_lattice(self, v: Sequence[int]) -> bool:
-        return solve(self._rel_matrix, v, self._rel_dec) is not None
+        return _coordinates(self._rel_basis, v, self.rank) is not None
 
     def vectors_equal(self, u: Sequence[int], v: Sequence[int]) -> bool:
         return self.in_relation_lattice([a - b for a, b in zip(u, v)])
@@ -153,10 +153,12 @@ class GModule:
                 if not self.in_relation_lattice(self.action[g].apply(r)):
                     raise ValueError("action does not preserve the relation lattice")
         for s in self.group.generating_set():
-            a_s = self.action[s]
+            s_cols = self.action[s].columns()
             for g in self.group.elements():
-                if not self.matrices_equal(self.action[g] @ a_s,
-                                           self.action[self.group.mul(g, s)]):
+                a_g, a_gs = self.action[g], self.action[self.group.mul(g, s)]
+                # column j of a_g a_s is a_g applied to column j of a_s
+                if not all(self.vectors_equal(a_g.apply(c), a_gs.col(j))
+                           for j, c in enumerate(s_cols)):
                     raise ValueError("action matrices are not a homomorphism")
         return self
 
@@ -432,13 +434,13 @@ class HomModule(GModule):
         # lattice of matrices that are well defined on relations:
         # for each source relation, F . rel must land in the relation lattice
         # of the target; F |-> F . rel is an rn x B matrix
-        blocks = []
+        maps = []
         for rel in source.relations:
             rows = [[0] * B for _ in range(rn)]
             for i in range(rn):
                 rows[i][i * rm:(i + 1) * rm] = rel
-            blocks.append((IntMatrix(rows, ncols=B), target.relations))
-        hom_gens = solution_lattice(B, blocks)
+            maps.append(IntMatrix(rows, ncols=B))
+        hom_gens = solution_lattice(B, maps, target.relations)
 
         # matrices that are zero as maps: every column in the target relations
         triv_gens = []
@@ -509,8 +511,8 @@ def invariant_subquotient(M: GModule) -> LatticeSubquotient:
     """
     r = M.rank
     eye = IntMatrix.identity(r)
-    inv_gens = solution_lattice(r, [(M.act(g) - eye, M.relations)
-                                    for g in M.group.generating_set()])
+    inv_gens = solution_lattice(r, [M.act(g) - eye for g in M.group.generating_set()],
+                                M.relations)
     return LatticeSubquotient(r, inv_gens, M.relations)
 
 

@@ -6,14 +6,15 @@ twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
-the general cocycle machinery against, the `*_all_pairs` checks test the
-module, cocycle and permutation-action laws on every pair of group elements
-where the library tests generator edges only, `reference_mul` is an
-independent product for p-adic towers that the tests compare the library's
-structure-constant tables against, and `is_square_by_search` and
-`square_mask_by_search` decide squareness and square classes over 2-adic
-towers by exhaustive search, against the library's quadratic-defect
-reduction.
+the general cocycle machinery against, `solution_lattice_by_smith` is the
+Smith-kernel lattice solve that the library's echelon version is compared
+against, the `*_all_pairs` checks test the module, cocycle and
+permutation-action laws on every pair of group elements where the library
+tests generator edges only, `reference_mul` is an independent product for
+p-adic towers that the tests compare the library's structure-constant
+tables against, and `is_square_by_search` and `square_mask_by_search`
+decide squareness and square classes over 2-adic towers by exhaustive
+search, against the library's quadratic-defect reduction.
 """
 
 import random
@@ -22,7 +23,13 @@ from itertools import product
 
 from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
-from chatelet.intmat import IntMatrix, LatticeSubquotient, solution_lattice
+from chatelet.intmat import (
+    IntMatrix,
+    LatticeSubquotient,
+    hstack,
+    kernel_basis,
+    solution_lattice,
+)
 from chatelet.modules import (
     GModule,
     direct_sum,
@@ -146,7 +153,7 @@ def h1_cyclic(G: FiniteGroup, M: GModule) -> CohomologyGroup:
     norm = IntMatrix.zeros(r, r)
     for g in powers:
         norm = norm + M.act(g)
-    numerator = solution_lattice(r, [(norm, M.relations)])
+    numerator = solution_lattice(r, [norm], M.relations)
     diff = M.act(sigma) - IntMatrix.identity(r)
     denominator = [diff.col(j) for j in range(r)] + [tuple(rel) for rel in M.relations]
     subq = LatticeSubquotient(r, numerator, denominator)
@@ -165,6 +172,26 @@ def h1_cyclic(G: FiniteGroup, M: GModule) -> CohomologyGroup:
         return out
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
+
+
+# -- Smith-kernel solution lattice -------------------------------------------------
+
+
+def solution_lattice_by_smith(dim: int, maps, relations) -> list:
+    """Generators of {x in Z^dim : C x in lattice(relations) for every C in maps},
+    by one Smith-form kernel per map: the kernel of [C L | -R] over the current
+    generators L, cut back to its first part.  The result may be redundant."""
+    L = IntMatrix.identity(dim)
+    for C in maps:
+        if L.ncols == 0:
+            break
+        reduced = C @ L
+        R = IntMatrix.from_columns([tuple(r) for r in relations], nrows=C.nrows)
+        big = hstack(reduced, R.scale(-1)) if R.ncols else reduced
+        ker = kernel_basis(big)
+        T = IntMatrix.from_columns([v[:L.ncols] for v in ker], nrows=L.ncols)
+        L = L @ T
+    return L.columns()
 
 
 # -- reference multiplication for p-adic towers -----------------------------------

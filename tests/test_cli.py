@@ -56,6 +56,20 @@ def test_expression_rejects():
         parse_element([1], q5)
 
 
+def test_expression_size_bound():
+    q5 = LocalField.qp(5)
+    field = q5.extend_eisenstein([-5, 0])
+    assert parse_element("2^64", q5) == q5.integer(2 ** 64)
+    assert parse_element("t1^-1", field) == field.gen(0).inverse()
+    # 2^5000 has 5,001 bits; three of them multiplied exceed the bound
+    assert parse_element("2^5000", q5) == q5.integer(2 ** 5000)
+    assert parse_element("0" * 3400 + "7", q5) == q5.integer(7)
+    for bad in ("2^5000 * 2^5000 * 2^5000", "2^10000", "1" + "0" * 3400,
+                "t" + "1" * 3400, 10 ** 4000):
+        with pytest.raises(ExpressionError, match="exceeds 10000 bits"):
+            parse_element(bad, q5)
+
+
 # -- job execution ---------------------------------------------------------------
 
 
@@ -503,6 +517,36 @@ def test_main_unencodable_result_exits_4(fmt, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts ints of any length from str")
+@pytest.mark.parametrize("job", ['{"type": "snf", "matrix": [[1, %s]]}',
+                                 '{"type": "square-class", "field": {"p": 5}, "elements": [%s]}'])
+def test_main_oversized_json_integer_exits_2(job, monkeypatch, capsys):
+    # past the int-to-str digit limit json.loads raises a plain ValueError
+    text = '{"version": 1, "jobs": [%s]}' % (job % ("7" * 5000))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("document: invalid JSON (")
+
+
+@pytest.mark.parametrize("field, element", [
+    ({"p": 5}, "5^99999999"),
+    ({"p": 5, "steps": [{"kind": "eisenstein", "poly": [-5, 0]}]}, "t1^99999999"),
+    ({"p": 5}, "10^5000"),
+])
+def test_main_refuses_oversized_powers_quickly(field, element, monkeypatch, capsys):
+    start = time.perf_counter()
+    code = _run_stdin(monkeypatch, doc({"type": "square-class", "field": field,
+                                        "elements": [element]}))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "jobs[0].elements[0]: power exceeds 10000 bits\n"
 
 
 def test_main_result_json_cannot_encode_exits_4(monkeypatch, capsys):

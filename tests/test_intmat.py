@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatelet.groups import cyclic_group
 from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
@@ -18,10 +19,14 @@ from chatelet.intmat import (
     hstack,
     kernel_basis,
     smith_normal_form,
+    solution_lattice,
     solve,
     unimodular_inverse,
     vstack,
 )
+from chatelet.modules import trivial_module
+
+from helpers import solution_lattice_by_smith
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -318,6 +323,73 @@ def test_subquotient_membership_matches_solve(data):
     for v in members:
         back = q.lift(q.coords(v))
         assert solve(D, [a - b for a, b in zip(back, v)]) is not None
+
+
+# -- echelon lattices against the Smith-form paths ------------------------------------
+
+
+@st.composite
+def _relations(draw, length):
+    """Up to four relation vectors, sometimes with a duplicate and a
+    dependent one (a combination of two others) appended."""
+    vec = st.lists(st.integers(-4, 4), min_size=length, max_size=length)
+    rels = draw(st.lists(vec, max_size=4))
+    if rels and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
+        k = draw(st.integers(-2, 2))
+        rels.append([x + k * y for x, y in zip(a, b)])
+    if rels and draw(st.booleans()):
+        rels.append(list(draw(st.sampled_from(rels))))
+    return rels
+
+
+@st.composite
+def _lattice_problems(draw):
+    """(dim, maps, relations) with dim 0 to 4, up to three m x dim maps, some
+    of them zero, and relations of length m, possibly none."""
+    dim = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 3))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    drawn = st.lists(row, min_size=m, max_size=m).map(lambda rows: IntMatrix(rows, ncols=dim))
+    maps = draw(st.lists(st.one_of(st.just(IntMatrix.zeros(m, dim)), drawn), max_size=3))
+    return dim, maps, draw(_relations(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_lattice_problems())
+def test_solution_lattice_equals_the_smith_kernel_lattice(problem):
+    dim, maps, rels = problem
+    new = solution_lattice(dim, maps, rels)
+    old = solution_lattice_by_smith(dim, maps, rels)
+    N = IntMatrix.from_columns(new, nrows=dim)
+    O = IntMatrix.from_columns(old, nrows=dim)
+    assert all(solve(O, v) is not None for v in new)
+    assert all(solve(N, v) is not None for v in old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_lattice_problems())
+def test_solution_lattice_generators_are_independent(problem):
+    dim, maps, rels = problem
+    new = solution_lattice(dim, maps, rels)
+    assert all(len(v) == dim for v in new)
+    assert smith_normal_form(IntMatrix.from_columns(new, nrows=dim)).rank == len(new)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_in_relation_lattice_matches_solve(data):
+    rank = data.draw(st.integers(0, 4), label="rank")
+    rels = data.draw(_relations(rank), label="relations")
+    M = trivial_module(cyclic_group(2), rank, rels)
+    R = IntMatrix.from_columns(rels, nrows=rank)
+    combo = st.lists(st.integers(-3, 3), min_size=len(rels), max_size=len(rels))
+    members = [R.apply(c) for c in data.draw(st.lists(combo, max_size=3), label="members")]
+    vec = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    probes = data.draw(st.lists(vec, min_size=1, max_size=4), label="probes")
+    assert all(M.in_relation_lattice(v) for v in members)
+    for v in probes:
+        assert M.in_relation_lattice(v) == (solve(R, v) is not None)
 
 
 def _snf_draws():
