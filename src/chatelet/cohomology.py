@@ -1,10 +1,14 @@
 """Group cohomology in degrees zero and one, and the maps between the groups.
 
 H^1 is computed from cocycles parametrized by their values on a generating
-set: the cocycle identity is propagated along a breadth-first traversal of
-the Cayley graph, the edges that close cycles become integer linear
-conditions modulo the relation lattice, and the quotient by coboundaries is
-a lattice subquotient.  Everything reduces to Smith normal form.
+set (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6):
+the cocycle identity is propagated along a breadth-first traversal of the
+Cayley graph, and each edge that closes a cycle becomes a block of integer
+linear conditions modulo the relation lattice.  The cocycle lattice is
+solved block by block with integer echelon forms (`solution_lattice`),
+which skips a block that every current cocycle already satisfies.  The
+quotient by coboundaries is a lattice subquotient, whose invariants come
+from one Smith form.
 
 A CohomologyGroup hands out honest cocycles (one module element per group
 element) for its generators and converts arbitrary cocycles back to
@@ -15,6 +19,7 @@ are built from.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup
@@ -25,6 +30,7 @@ from .intmat import (
     solution_lattice,
 )
 from .modules import (
+    CACHE_SIZE,
     FpAbGroup,
     GModule,
     GModuleMap,
@@ -108,6 +114,20 @@ class CohomologyGroup:
     def zero_coords(self) -> Vector:
         return tuple(0 for _ in self.invariants)
 
+    def __eq__(self, other: object) -> bool:
+        """The same group in the same coordinates: equal degree, group,
+        module and invariants, over the same generator cocycles.  So an `h0`
+        or `h1` recomputed after its cache let the first result go equals
+        that result, and maps built on either compose."""
+        return self is other or (
+            isinstance(other, CohomologyGroup) and self.degree == other.degree
+            and self.group == other.group and self.module == other.module
+            and self.invariants == other.invariants
+            and self.generator_cocycles() == other.generator_cocycles())
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.group, self.module, self.invariants))
+
     def __repr__(self) -> str:
         return (f"CohomologyGroup(H^{self.degree}, {self.group.name}, "
                 f"{self.module.name}, {self.describe()})")
@@ -139,7 +159,7 @@ def is_cocycle(M: GModule, cocycle: Cocycle) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def h0(G: FiniteGroup, M: GModule) -> CohomologyGroup:
     """Invariants M^G as a cohomology group in degree zero."""
     if M.group != G:
@@ -150,7 +170,7 @@ def h0(G: FiniteGroup, M: GModule) -> CohomologyGroup:
                            from_ambient=lambda v: tuple(v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
     """First cohomology via generator-parametrized cocycles."""
     if M.group != G:
@@ -166,39 +186,43 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
                                to_ambient=lambda c: (),
                                from_ambient=lambda u: {G.identity: (0,) * r})
 
-    # expression matrices: c(g) = E_g . u where u stacks the values on gens;
-    # c(g s_t) = c(g) + g . c(s_t) adds the action of g into column block t
+    # expressions c(g) = E_g . u, E_g as r rows of length u_dim, where u
+    # stacks the values on gens; c(g s_t) = c(g) + g . c(s_t) adds the
+    # action of g into column block t.  An edge to an element already
+    # reached closes a cycle, and its difference E_g + g e_t - E_gs must
+    # send u into the relation lattice.
     from collections import deque
 
-    exprs: dict[int, IntMatrix] = {G.identity: IntMatrix.zeros(r, u_dim)}
+    exprs: dict[int, list[list[int]]] = {G.identity: [[0] * u_dim for _ in range(r)]}
     constraints: list[IntMatrix] = []
     queue = deque([G.identity])
     while queue:
         g = queue.popleft()
+        E = exprs[g]
+        act_rows = M.act(g).rows
         for t, s in enumerate(gens):
             gs = G.mul(g, s)
-            rows = [list(row) for row in exprs[g].rows]
-            lo = t * r
-            for row, act_row in zip(rows, M.act(g).rows):
-                row[lo:lo + r] = [a + b for a, b in zip(row[lo:lo + r], act_row)]
-            expr = IntMatrix(rows, ncols=u_dim)
+            lo, hi = t * r, (t + 1) * r
+            expr = [row[:lo] + [a + b for a, b in zip(row[lo:hi], act_row)] + row[hi:]
+                    for row, act_row in zip(E, act_rows)]
             known = exprs.get(gs)
             if known is None:
                 exprs[gs] = expr
                 queue.append(gs)
             else:
-                diff = expr - known
-                if not diff.is_zero():
-                    constraints.append(diff)
+                diff = [[a - b for a, b in zip(x, y)] for x, y in zip(expr, known)]
+                if any(map(any, diff)):
+                    constraints.append(IntMatrix._wrap(diff, u_dim))
 
     z1 = solution_lattice(u_dim, constraints, M.relations)
 
+    # coboundaries: u = ((s - 1) e_j)_s for each basis vector e_j, and the
+    # relations placed in each generator's block
     b1: list[Vector] = []
-    eye = IntMatrix.identity(r)
     for j in range(r):
         u = []
         for s in gens:
-            u.extend((M.act(s) - eye).col(j))
+            u.extend(row[j] - (i == j) for i, row in enumerate(M.act(s).rows))
         b1.append(tuple(u))
     for t in range(ns):
         for rel in M.relations:
@@ -207,7 +231,6 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
             b1.append(tuple(v))
 
     subq = LatticeSubquotient(u_dim, z1, b1)
-    expr_table = dict(exprs)
 
     def to_ambient(cocycle: Cocycle) -> Vector:
         _identity_cocycle_check(G, cocycle, r)
@@ -217,7 +240,8 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
         return tuple(u)
 
     def from_ambient(u: Sequence[int]) -> dict[int, Vector]:
-        return {g: expr_table[g].apply(u) for g in G.elements()}
+        return {g: tuple(sum(map(mul, row, u)) for row in exprs[g])
+                for g in G.elements()}
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
 

@@ -5,10 +5,10 @@ precision anywhere.  Lattices rest on one routine, the reduced row echelon
 form of `_echelon` (Kannan and Bachem 1979).  A lattice given by generators
 is kept as its echelon basis: coordinates and membership are read off it
 pivot by pivot (`_coordinates`), and `solution_lattice` finds the x with
-C x in a relation lattice from the rows of one echelon whose first part
-vanishes.  The Smith form U * A * V = S, with U and V unimodular and S
-diagonal with each entry dividing the next, is built from alternating
-echelon sweeps.  It is computed where invariants are read (the cyclic
+C x in a relation lattice from the rows of one echelon per map whose first
+part vanishes, skipping a later map that its basis already satisfies.  The
+Smith form U * A * V = S, with U and V unimodular and S diagonal with each
+entry dividing the next, is built from alternating echelon sweeps.  It is computed where invariants are read (the cyclic
 decomposition of a subquotient, `cokernel_structure`) and by the public
 `kernel_basis` and `solve`.  Determinants and exact inverses come from
 fraction-free Bareiss elimination (`_bareiss`).
@@ -30,6 +30,11 @@ class IntMatrix:
     Rows are stored as a tuple of tuples, which makes instances hashable and
     safe to share.  Zero-row and zero-column shapes are allowed; the column
     count is kept explicitly so empty matrices still know their width.
+
+    The constructor, `from_columns`, `diagonal` and `scale` take entries from
+    outside and convert each through `int()`, rejecting ragged rows.  Results
+    built from entries that are already Python ints (`identity`, `zeros`,
+    sums, negations and products) go through `_wrap`, which does not check.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -62,11 +67,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._wrap([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)], ncols=n)
+        return cls._wrap([[0] * n for _ in range(m)], n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
@@ -112,15 +117,26 @@ class IntMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, each of its rows a sum of rows of other: one per
+        nonzero entry of the matching row of self, added or subtracted
+        whole when the entry is +-1."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ocols = other.ncols
         out = []
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            out.append([sum(ri[k] * other.rows[k][j] for k in range(self.ncols))
-                        for j in range(ocols)])
-        return IntMatrix(out, ncols=ocols)
+        for ri in self.rows:
+            acc = [0] * ocols
+            for a, b in zip(ri, other.rows):
+                if not a:
+                    continue
+                if a == 1:
+                    acc = [s + t for s, t in zip(acc, b)]
+                elif a == -1:
+                    acc = [s - t for s, t in zip(acc, b)]
+                else:
+                    acc = [s + a * t for s, t in zip(acc, b)]
+            out.append(acc)
+        return IntMatrix._wrap(out, ocols)
 
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.ncols:
@@ -130,14 +146,14 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-                         ncols=self.ncols)
+        return IntMatrix._wrap([[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.rows], ncols=self.ncols)
+        return IntMatrix._wrap([[-a for a in row] for row in self.rows], self.ncols)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * a for a in row] for row in self.rows], ncols=self.ncols)
@@ -506,17 +522,37 @@ def solution_lattice(dim: int, maps: Sequence[IntMatrix],
 
     The maps are intersected one at a time, starting from the standard
     basis of Z^dim.  For a map C and the current basis x_1..x_k, one
-    echelon (`_echelon`) of the rows [r | 0], one per relation r, and
-    [C x_j | x_j] keeps the rows whose first part vanished: their tails are
-    combinations x of the x_j with C x in the relation lattice, and every
-    such x is a combination of them.  The relation rows go first, so one
-    that depends on the others vanishes whole and is dropped; the other
-    tails come from independent rows and form the next basis.
+    product C X, with the x_j as the columns of X, gives every image C x_j.
+
+    From the second map on, a map whose images all lie in the relation
+    lattice (are all zero, when there are no relations) keeps the basis as
+    it is.  Membership is read off one echelon of the relations
+    (`_coordinates`), built the first time it is needed.  The first map is
+    always solved: the basis is then all of Z^dim, which a map rarely keeps.
+
+    Otherwise one echelon (`_echelon`) of the rows [r | 0], one per
+    relation r, and [C x_j | x_j] keeps the rows whose first part vanished:
+    their tails are combinations x of the x_j with C x in the relation
+    lattice, and every such x is a combination of them.  The relation rows
+    go first, so one that depends on the others vanishes whole and is
+    dropped; the other tails come from independent rows and form the next
+    basis.
     """
     basis = list(IntMatrix.identity(dim).rows)
-    for C in maps:
+    rel_basis = None
+    for i, C in enumerate(maps):
+        if not basis:
+            break
         m = C.nrows
-        rows = [list(r) for r in relations] + [[*C.apply(x), *x] for x in basis]
+        CX = C @ IntMatrix._wrap(zip(*basis), len(basis))
+        # the columns of C X; a map with no rows sends every x to ()
+        images = list(zip(*CX.rows)) or [()] * len(basis)
+        if i:
+            if rel_basis is None:
+                rel_basis = _lattice_basis(relations, m)
+            if all(_coordinates(rel_basis, y, m) is not None for y in images):
+                continue
+        rows = [list(r) for r in relations] + [[*y, *x] for y, x in zip(images, basis)]
         _, zero = _echelon(rows, m)
         basis = [tuple(R[m:]) for R in zero if any(R[m:])]
     return basis

@@ -12,6 +12,7 @@ cohomology layer does.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup
@@ -23,6 +24,10 @@ from .intmat import (
     _lattice_basis,
     solution_lattice,
 )
+
+# entries kept by each of the hom_module, h0 and h1 caches: more than the
+# distinct modules of any committed benchmark pass, so a pass loses no hit
+CACHE_SIZE = 256
 
 
 def describe_invariants(invariants: Sequence[int]) -> str:
@@ -272,7 +277,7 @@ def regular_module(G: FiniteGroup) -> GModule:
         rows = [[0] * n for _ in range(n)]
         for h in range(n):
             rows[G.mul(g, h)][h] = 1
-        mats.append(IntMatrix(rows, ncols=n))
+        mats.append(IntMatrix._wrap(rows, n))
     return GModule(G, n, (), mats, name=f"Z[{G.name}]", check=False)
 
 
@@ -494,10 +499,7 @@ class HomModule(GModule):
         return self._hom_subq.coords(flat)
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def hom_module(M: GModule, N: GModule) -> HomModule:
     """Hom(M, N) with the conjugation action g . f = g f g^{-1}."""
     return HomModule(M, N)

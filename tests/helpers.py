@@ -6,7 +6,9 @@ twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
-the general cocycle machinery against, `solution_lattice_by_smith` is the
+the general cocycle machinery against, `h1_reference` solves the same
+closing-edge system as the library's `h1` with whole-matrix arithmetic and
+Smith kernels, `solution_lattice_by_smith` is the
 Smith-kernel lattice solve that the library's echelon version is compared
 against, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
@@ -18,6 +20,7 @@ search, against the library's quadratic-defect reduction.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -170,6 +173,58 @@ def h1_cyclic(G: FiniteGroup, M: GModule) -> CohomologyGroup:
             step = M.act(powers[k]).apply(a)
             acc = [x + y for x, y in zip(acc, step)]
         return out
+
+    return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
+
+
+# -- reference H^1 through IntMatrix blocks and Smith kernels ----------------------
+
+
+def h1_reference(G: FiniteGroup, M: GModule) -> CohomologyGroup:
+    """H^1 by the closing-edge system built from whole IntMatrix blocks and
+    solved with `solution_lattice_by_smith`: the same parametrization of
+    cocycles by their values on generators as `chatelet.cohomology.h1`,
+    with none of its row arithmetic, zero-skipping products or skipped
+    blocks.  Used as an oracle against the library."""
+    if M.group != G:
+        raise ValueError("module is not over the given group")
+    r = M.rank
+    gens = G.generating_set()
+    u_dim = len(gens) * r
+    exprs = {G.identity: IntMatrix.zeros(r, u_dim)}
+    constraints = []
+    queue = deque([G.identity])
+    while queue:
+        g = queue.popleft()
+        for t, s in enumerate(gens):
+            gs = G.mul(g, s)
+            rows = [list(row) for row in exprs[g].rows]
+            lo = t * r
+            for row, act_row in zip(rows, M.act(g).rows):
+                row[lo:lo + r] = [a + b for a, b in zip(row[lo:lo + r], act_row)]
+            expr = IntMatrix(rows, ncols=u_dim)
+            known = exprs.get(gs)
+            if known is None:
+                exprs[gs] = expr
+                queue.append(gs)
+            elif not (expr - known).is_zero():
+                constraints.append(expr - known)
+    z1 = solution_lattice_by_smith(u_dim, constraints, M.relations)
+    eye = IntMatrix.identity(r)
+    b1 = [tuple(x for s in gens for x in (M.act(s) - eye).col(j)) for j in range(r)]
+    for t in range(len(gens)):
+        for rel in M.relations:
+            v = [0] * u_dim
+            v[t * r:(t + 1) * r] = list(rel)
+            b1.append(tuple(v))
+    subq = LatticeSubquotient(u_dim, z1, b1)
+
+    def to_ambient(cocycle):
+        _identity_cocycle_check(G, cocycle, r)
+        return tuple(x for s in gens for x in cocycle[s])
+
+    def from_ambient(u):
+        return {g: exprs[g].apply(u) for g in G.elements()}
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
 

@@ -17,6 +17,7 @@ from chatelet.cohomology import (
 )
 from chatelet.groups import (
     Subgroup,
+    all_subgroups,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -29,6 +30,7 @@ from chatelet.modules import (
     GModule,
     GModuleMap,
     chatelet_picard_module,
+    hom_module,
     induce_module,
     regular_module,
     restrict_module,
@@ -36,6 +38,7 @@ from chatelet.modules import (
 )
 from helpers import (
     h1_cyclic,
+    h1_reference,
     index_two_sign_module,
     module_library,
     random_cocycle,
@@ -162,6 +165,56 @@ def test_h1_cyclic_agrees_with_general():
                     nrows=len(a.invariants))
                 cm = CohMap(b, a, cross, kind="oracle-comparison")
                 assert cm.is_injective() and cm.is_surjective()
+
+
+def _twisted_torsion_module(G, m):
+    """(Z/m)^2 on which the elements outside an index-two subgroup act by
+    [[1, 1], [0, -1]], an involution, and the others trivially."""
+    K = next(s for s in all_subgroups(G) if s.index == 2)
+    A = IntMatrix([[1, 1], [0, -1]])
+    mats = [IntMatrix.identity(2) if K.contains(g) else A for g in G.elements()]
+    return GModule(G, 2, [(m, 0), (0, m)], mats, name="twisted")
+
+
+def test_h1_matches_the_whole_matrix_reference():
+    Q8, D4 = quaternion_group(), dihedral_group(4)
+    modules = [regular_module(G) for G in (symmetric_group(4), D4, Q8, cyclic_group(6))]
+    modules.append(trivial_module(Q8, rank=2, relations=[(2, 0), (0, 6)]))
+    modules.append(_twisted_torsion_module(D4, 4))
+    for M in modules:
+        ours, ref = h1(M.group, M), h1_reference(M.group, M)
+        assert ours.invariants == ref.invariants, M.name
+        assert ours.generator_cocycles() == ref.generator_cocycles(), M.name
+    assert h1(Q8, modules[-2]).invariants == (2, 2, 2, 2)
+    assert h1(D4, modules[-1]).invariants == (4,)
+
+
+def test_cohomology_caches_are_bounded():
+    caches = (h0, h1, hom_module)
+    bound = max(cache.cache_info().maxsize for cache in caches)
+    target = trivial_module(C2)
+    for k in range(2, bound + 12):
+        M = trivial_module(C2, relations=[(k,)])
+        h0(C2, M)
+        h1(C2, M)
+        hom_module(M, target)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def test_maps_compose_after_their_groups_left_the_cache():
+    G = cyclic_group(4)
+    H = Subgroup(G, [0, 2])
+    M = trivial_module(G, relations=[(8,)])
+    res = restriction_map(H, M)
+    for k in range(2, h1.cache_info().maxsize + 12):
+        h1(C2, trivial_module(C2, relations=[(k,)]))
+    cor = corestriction_map(H, M)
+    assert cor.source is not res.target and cor.source == res.target
+    assert hash(cor.source) == hash(res.target)
+    assert res.then(cor).matrix == IntMatrix([[2]])
+    assert cor.target != res.target and cor.source != h0(H.group, cor.source.module)
 
 
 def test_h1_cyclic_rejects_non_cyclic():

@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatelet import intmat
 from chatelet.groups import cyclic_group
 from chatelet.intmat import (
     IntMatrix,
@@ -221,6 +223,35 @@ def test_stacking_and_blocks():
     assert blk == IntMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 9]])
 
 
+@st.composite
+def _products(draw):
+    """(A, B) with A m x k and B k x n, each side 0 to 5: dense matrices of
+    zeros, +-1 and entries up to 10^30, or mostly-zero ones."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    nonzero = st.one_of(st.sampled_from([1, -1]), st.integers(-10**30, 10**30))
+    dense = st.one_of(st.just(0), nonzero)
+    sparse = st.integers(0, 9).flatmap(lambda z: nonzero if z == 0 else st.just(0))
+
+    def matrix(rows, cols):
+        entry = draw(st.sampled_from([dense, sparse]))
+        line = st.lists(entry, min_size=cols, max_size=cols)
+        return IntMatrix(draw(st.lists(line, min_size=rows, max_size=rows)), ncols=cols)
+
+    return matrix(m, k), matrix(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_products())
+def test_matmul_equals_the_schoolbook_sum(pair):
+    A, B = pair
+    (m, k), n = A.shape, B.ncols
+    P = A @ B
+    assert P.shape == (m, n)
+    assert P.rows == tuple(tuple(sum(A.rows[i][l] * B.rows[l][j] for l in range(k))
+                                 for j in range(n)) for i in range(m))
+    assert all(type(x) is int for row in P.rows for x in row)
+
+
 def test_matrix_basics():
     a = IntMatrix([[1, 2], [3, 4]])
     assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
@@ -346,13 +377,50 @@ def _relations(draw, length):
 @st.composite
 def _lattice_problems(draw):
     """(dim, maps, relations) with dim 0 to 4, up to three m x dim maps, some
-    of them zero, and relations of length m, possibly none."""
+    of them zero, and relations of length m, possibly none.  Sometimes a map
+    that every solution of the others already satisfies is appended: an
+    integer combination of the earlier maps plus r l^T, r a relation and l
+    any row, so the lattice solve takes its skip with nonzero maps."""
     dim = draw(st.integers(0, 4))
     m = draw(st.integers(0, 3))
+    rels = draw(_relations(m))
     row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     drawn = st.lists(row, min_size=m, max_size=m).map(lambda rows: IntMatrix(rows, ncols=dim))
     maps = draw(st.lists(st.one_of(st.just(IntMatrix.zeros(m, dim)), drawn), max_size=3))
-    return dim, maps, draw(_relations(m))
+    if draw(st.booleans()):
+        held = IntMatrix.zeros(m, dim)
+        for C in maps:
+            held = held + C.scale(draw(st.integers(-3, 3)))
+        if rels:
+            r, l = draw(st.sampled_from(rels)), draw(row)
+            held = held + IntMatrix([[a * b for b in l] for a in r], ncols=dim)
+        maps.append(held)
+    return dim, maps, rels
+
+
+def test_solution_lattice_skips_only_later_maps_that_hold():
+    """The first map is solved without a membership test; a later map whose
+    images all lie in the relation lattice costs membership tests and the
+    one relation echelon, and no echelon of its own."""
+    C = IntMatrix([[1, 2, 0], [0, 3, 1]])
+    rels = [(4, 0), (0, 6)]
+    held = C.scale(-2) + IntMatrix([[4, -4, 8], [0, 0, 0]])
+    fails = IntMatrix([[1, 0, 0], [0, 0, 0]])
+    with patch.object(intmat, "_echelon", wraps=intmat._echelon) as echelon, \
+            patch.object(intmat, "_coordinates", wraps=intmat._coordinates) as member:
+        alone = solution_lattice(3, [C], rels)
+        assert (echelon.call_count, member.call_count) == (1, 0)
+        echelon.reset_mock()
+        assert solution_lattice(3, [C, held], rels) == alone
+        assert (echelon.call_count, member.call_count) == (2, len(alone))
+        echelon.reset_mock()
+        assert solution_lattice(3, [C, fails], rels) != alone
+        assert echelon.call_count == 3
+        kernel = solution_lattice(3, [C], [])
+        echelon.reset_mock()
+        # without relations a map holds when it sends the basis to zero
+        assert solution_lattice(3, [C, C.scale(5), C.scale(-2)], []) == kernel
+        assert echelon.call_count == 2  # C, and the echelon of no relations
 
 
 @settings(max_examples=200, deadline=None)
