@@ -8,10 +8,11 @@ pivot by pivot (`_coordinates`), and `solution_lattice` finds the x with
 C x in a relation lattice from the rows of one echelon per map whose first
 part vanishes, skipping a later map that its basis already satisfies.  The
 Smith form U * A * V = S, with U and V unimodular and S diagonal with each
-entry dividing the next, is built from alternating echelon sweeps.  It is computed where invariants are read (the cyclic
-decomposition of a subquotient, `cokernel_structure`) and by the public
-`kernel_basis` and `solve`.  Determinants and exact inverses come from
-fraction-free Bareiss elimination (`_bareiss`).
+entry dividing the next, is built from alternating echelon sweeps.  It is
+computed where invariants are read (the cyclic decomposition of a
+subquotient, `cokernel_structure`) and by the public `kernel_basis` and
+`solve`.  Determinants and exact inverses come from fraction-free Bareiss
+elimination (`_bareiss`).
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The product, each of its rows a sum of rows of other: one per
-        nonzero entry of the matching row of self, added or subtracted
-        whole when the entry is +-1."""
+        nonzero entry of the matching row of self."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ocols = other.ncols
@@ -127,13 +127,7 @@ class IntMatrix:
         for ri in self.rows:
             acc = [0] * ocols
             for a, b in zip(ri, other.rows):
-                if not a:
-                    continue
-                if a == 1:
-                    acc = [s + t for s, t in zip(acc, b)]
-                elif a == -1:
-                    acc = [s - t for s, t in zip(acc, b)]
-                else:
+                if a:
                     acc = [s + a * t for s, t in zip(acc, b)]
             out.append(acc)
         return IntMatrix._wrap(out, ocols)

@@ -27,6 +27,7 @@ from chatelet.groups import (
 )
 from chatelet.intmat import IntMatrix
 from chatelet.modules import (
+    CACHE_SIZE,
     GModule,
     GModuleMap,
     chatelet_picard_module,
@@ -200,6 +201,7 @@ def test_cohomology_caches_are_bounded():
         hom_module(M, target)
     for cache in caches:
         info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
 
 
