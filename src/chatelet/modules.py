@@ -25,8 +25,9 @@ from .intmat import (
     solution_lattice,
 )
 
-# entries kept by each of the hom_module, h0 and h1 caches.  A benchmark pass
-# asks them for at most 45, 86 and 140 distinct keys, so none is evicted
+# entries kept by each of the hom_module, h0 and h1 caches and by the
+# surfaces descent-verdict cache (one key per extension degree).  A benchmark
+# pass asks them for at most 45, 86, 140 and 3 distinct keys, so none is evicted
 CACHE_SIZE = 256
 
 

@@ -39,14 +39,36 @@ from typing import Sequence
 from .intmat import _bareiss
 
 
+# every p a field accepts is below this bound, where `_is_prime` is exact
+P_LIMIT = 2 ** 64
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the twelve prime bases up to 37: O(log n) products,
+    and exact for every n below 3.1 * 10^23 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)),
+    which covers every p below P_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -91,18 +113,20 @@ def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
         powers.append([(prev[l - 1] if l else zero) - prev[-1] * c
                        for l, c in enumerate(coeffs)])
     basis = [par._monomial(i) for i in range(n)]
-    rows = []
-    for a in range(d):
-        for i in range(n):
-            row = []
-            for b in range(d):
-                for j in range(n):
-                    mij = basis[i] * basis[j]
-                    row.append([c for r in powers[a + b] for c in (mij * r).coords()])
-            rows.append(row)
-    den = lcm(*(c.denominator for row in rows for coords in row for c in coords))
-    table = tuple(tuple(tuple((k, int(c * den)) for k, c in enumerate(coords) if c)
-                        for coords in row) for row in rows)
+    # m_i m_j t^s for s up to 2d - 2, each product formed once; an element's
+    # den is the lcm of its reduced coordinate denominators, as
+    # gcd(*nums, den) = 1, so the lcm of the dens below is the table's D
+    shifted = [[[[mij * r for r in powers[s]] for s in range(2 * d - 1)]
+                for mij in (bi * bj for bj in basis)] for bi in basis]
+    den = lcm(*(x.den for per_i in shifted for per_j in per_i
+                for per_s in per_j for x in per_s))
+
+    def entry(elems):
+        nums = [c * (den // x.den) for x in elems for c in x.nums]
+        return tuple((k, v) for k, v in enumerate(nums) if v)
+
+    table = tuple(tuple(entry(shifted[i][j][a + b]) for b in range(d) for j in range(n))
+                  for a in range(d) for i in range(n))
     return table, den
 
 
@@ -135,6 +159,8 @@ class LocalField:
     def __init__(self, p: int, steps: tuple):
         self.p = p
         self.steps = steps
+        if p >= P_LIMIT:
+            raise ValueError("p must be below 2^64")
         if not _is_prime(p):
             raise ValueError("p must be prime")
 
@@ -682,9 +708,12 @@ def _square_class_pool(K: LocalField):
     """Candidate square class generators, in the order the greedy basis reads
     them; built lazily, so a large p costs only the candidates read."""
     yield K.uniformizer()
-    yield K.integer(-1)
-    for c in range(2, K.p):
-        yield K.integer(c)
+    # for odd p and even residue degree every element of F_p* is a square in
+    # the residue field, so the units -1, 2, ..., p - 1 all have class zero
+    if K.p == 2 or K.residue_degree % 2:
+        yield K.integer(-1)
+        for c in range(2, K.p):
+            yield K.integer(c)
     for i, st in enumerate(K.steps):
         if st.kind == "unramified":
             g = K.gen(i)

@@ -11,22 +11,24 @@ the evidence: the extension degree, and whether d becomes a square over the
 extension (decided exactly over a p-adic base; over Q only from sound
 evidence, otherwise left unknown).  One rule function, `_rules`, turns that
 evidence into verdicts.  For half degree two, restriction and corestriction
-on the (Z/2)^2 descent classes are computed with the exact engine: the
-identity and multiplication by the degree.  Where the pairing between point
-classes and descent classes is perfect (a p-adic base) the point-class
-verdicts are their Pontryagin duals; otherwise only parity rules apply.  One
-constructor then builds the report, whose rule trace names every step.
+on the (Z/2)^2 descent classes are computed with the exact engine, once per
+extension degree: the identity and multiplication by the degree.  Where the
+pairing between point classes and descent classes is perfect (a p-adic
+base) the point-class verdicts are their Pontryagin duals; otherwise only
+parity rules apply.  One constructor then builds the report, whose rule
+trace names every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
-from .modules import GModule, chatelet_picard_module
+from .modules import CACHE_SIZE, GModule, chatelet_picard_module
 from .padic import LocalField, PadicElement, embed, is_square
 
 
@@ -114,14 +116,23 @@ def brauer_h1(surface) -> CohomologyGroup:
     return h1(module.group, module)
 
 
-def _descent_maps(surface, n: int) -> tuple[CohMap, CohMap]:
+def _descent_maps(coh: CohomologyGroup, n: int) -> tuple[CohMap, CohMap]:
     """Restriction (the identity) and corestriction (multiplication by the
-    degree n) on the descent classes, along an extension that keeps d a
-    nonsquare."""
-    coh = brauer_h1(surface)
+    degree n) on the descent classes `coh`, along an extension that keeps d
+    a nonsquare."""
     eye = IntMatrix.identity(len(coh.invariants))
     return (CohMap(coh, coh, eye, kind="restriction"),
             CohMap(coh, coh, eye.scale(n), kind="corestriction"))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _descent_verdicts(n: int) -> tuple[tuple, tuple[str, str]]:
+    """The invariants of the half-degree-two descent classes and the verdicts
+    of restriction and corestriction along a degree-n extension.  Both
+    depend on n alone, so the exact engine settles each degree once."""
+    module = chatelet_picard_module()
+    res, cor = _descent_maps(h1(module.group, module), n)
+    return res.source.invariants, (_verdict(res), _verdict(cor))
 
 
 def _nondegenerate_degree(surface: ChateletSurface, L: LocalField) -> int:
@@ -134,12 +145,14 @@ def _nondegenerate_degree(surface: ChateletSurface, L: LocalField) -> int:
 def restriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Restriction of descent classes along L; requires d to stay a nonsquare,
     which keeps the degree-two descent group intact over L."""
-    return _descent_maps(surface, _nondegenerate_degree(surface, L))[0]
+    n = _nondegenerate_degree(surface, L)
+    return _descent_maps(brauer_h1(surface), n)[0]
 
 
 def corestriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Corestriction back down from L: multiplication by the extension degree."""
-    return _descent_maps(surface, _nondegenerate_degree(surface, L))[1]
+    n = _nondegenerate_degree(surface, L)
+    return _descent_maps(brauer_h1(surface), n)[1]
 
 
 def _extension_degree(base: LocalField, L: LocalField) -> int:
@@ -262,10 +275,9 @@ def _report(surface, base: str, extension: str, n: int, degenerate, perfect: boo
     rank_two = surface.half_degree == 2
     brauer_invariants = h1_verdicts = None
     if rank_two and degenerate is not None:
-        res, cor = _descent_maps(surface, n)
-        brauer_invariants = res.source.invariants
+        brauer_invariants, descent_verdicts = _descent_verdicts(n)
         if not degenerate:
-            h1_verdicts = (_verdict(res), _verdict(cor))
+            h1_verdicts = descent_verdicts
     verdicts, rule_trace, rule_assumptions = _rules(
         rank_two, degenerate, n % 2 == 1, perfect, h1_verdicts)
     return AnalysisReport(

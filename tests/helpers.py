@@ -14,15 +14,20 @@ against, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
 tests generator edges only, `reference_mul` is an independent product for
 p-adic towers that the tests compare the library's structure-constant
-tables against, and `is_square_by_search` and `square_mask_by_search`
-decide squareness and square classes over 2-adic towers by exhaustive
-search, against the library's quadratic-defect reduction.
+tables against, `structure_constants_by_fractions` and
+`residue_table_by_fractions` build those tables through Fraction
+coordinates, `square_class_group_by_full_pool` runs the greedy square class
+search without skipping the units of F_p*, and `is_square_by_search` and
+`square_mask_by_search` decide squareness and square classes over 2-adic
+towers by exhaustive search, against the library's quadratic-defect
+reduction.
 """
 
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
+from math import lcm
 
 from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
@@ -40,7 +45,13 @@ from chatelet.modules import (
     permutation_module,
     trivial_module,
 )
-from chatelet.padic import LocalField, PadicElement
+from chatelet.padic import (
+    LocalField,
+    PadicElement,
+    _class_vector,
+    _reduce,
+    _square_class_pool,
+)
 
 
 def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets") -> GModule:
@@ -338,6 +349,81 @@ def reference_mul(x, y) -> tuple:
         ring = _QuotientRing(ring, tuple(_unflatten(below, c.coords()) for c in st.coeffs))
     nested = ring.mul(_unflatten(field, x.coords()), _unflatten(field, y.coords()))
     return tuple(_flatten(nested, len(field.steps)))
+
+
+# -- structure-constant tables through Fractions ------------------------------------
+
+
+def structure_constants_by_fractions(par: LocalField, coeffs: tuple) -> tuple[tuple, int]:
+    """Table (T, D) of par[t]/(t^d + c_{d-1} t^{d-1} + ... + c_0), in the
+    library's layout: every product m_i m_j t^(a + b) is formed anew for
+    each pair of monomials, read as Fraction coordinates, and scaled by the
+    lcm of their reduced denominators."""
+    d = len(coeffs)
+    n = len(par._monomials)
+    zero = par.zero()
+    powers = [[par.one() if l == s else zero for l in range(d)] for s in range(d)]
+    for _ in range(d - 1):
+        prev = powers[-1]
+        powers.append([(prev[l - 1] if l else zero) - prev[-1] * c
+                       for l, c in enumerate(coeffs)])
+    basis = [par._monomial(i) for i in range(n)]
+    rows = []
+    for a in range(d):
+        for i in range(n):
+            row = []
+            for b in range(d):
+                for j in range(n):
+                    mij = basis[i] * basis[j]
+                    row.append([c for r in powers[a + b] for c in (mij * r).coords()])
+            rows.append(row)
+    den = lcm(*(c.denominator for row in rows for coords in row for c in coords))
+    table = tuple(tuple(tuple((k, int(c * den)) for k, c in enumerate(coords) if c)
+                        for coords in row) for row in rows)
+    return table, den
+
+
+def residue_table_by_fractions(field: LocalField) -> tuple:
+    """The residue field's table over the unramified monomials, in the
+    library's layout: each product of two of them by `reference_mul`, its
+    Fraction coordinates reduced mod p."""
+    p = field.p
+    unram = [idx for idx, mono in enumerate(field._monomials)
+             if all(k == 0 or field.steps[i].kind == "unramified"
+                    for i, k in enumerate(mono))]
+    rows = []
+    for i in unram:
+        row = []
+        for j in unram:
+            coords = reference_mul(field._monomial(i), field._monomial(j))
+            residues = [(r, coords[k].numerator * pow(coords[k].denominator, -1, p) % p)
+                        for r, k in enumerate(unram)]
+            row.append(tuple((r, v) for r, v in residues if v))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# -- the greedy square class search over the whole pool -----------------------------
+
+
+def square_class_group_by_full_pool(K: LocalField) -> list[PadicElement]:
+    """The greedy square class basis read from the uniformizer, -1, 2, ...,
+    p - 1 and then the rest of the library's pool; the library leaves out
+    the units of F_p* when they are all squares in the residue field."""
+    target = K.degree + 2 if K.p == 2 else 2
+    pool = [K.uniformizer(), K.integer(-1)] + [K.integer(c) for c in range(2, K.p)]
+    basis: list[PadicElement] = []
+    rows: dict = {}
+    for cand in chain(pool, islice(_square_class_pool(K), 1, None)):
+        if cand.is_zero():
+            continue
+        vec, _ = _reduce(rows, _class_vector(cand))
+        if vec:
+            rows[vec.bit_length() - 1] = (vec, 0)
+            basis.append(cand)
+            if len(basis) == target:
+                break
+    return basis
 
 
 # -- squareness by search over 2-adic towers -----------------------------------------

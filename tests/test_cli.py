@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -484,6 +485,39 @@ def test_square_class_over_a_large_prime_is_quick(tmp_path, capsys):
     (result,) = json.loads(capsys.readouterr().out)["results"]
     assert result["generators"] == ["1000003", "-1"]
     assert [e["class"] for e in result["elements"]] == [[0, 1], [0, 1], [1, 0]]
+
+
+DOCS = Path(__file__).parent / "docs"
+
+
+def test_square_class_over_a_mersenne_prime_is_quick(capsys):
+    # p = 2^61 - 1: Miller-Rabin settles primality in O(log p) products,
+    # where trial division did not finish in 30 s
+    start = time.perf_counter()
+    assert main([str(DOCS / "square_class_large_prime.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["generators"] == [str(2 ** 61 - 1), "-1"]
+    assert ([e["class"] for e in result["elements"]]
+            == [[0, 1], [0, 0], [0, 1], [1, 0], [0, 1]])
+
+
+def test_prime_past_the_bound_exits_2(capsys):
+    assert main([str(DOCS / "prime_past_bound.json")]) == 2
+    assert capsys.readouterr().err == "jobs[0].field.p: p must be below 2^64\n"
+
+
+def test_square_class_with_even_residue_degree_at_a_large_prime(tmp_path, capsys):
+    # every unit of F_p is a square in F_(p^2), so the greedy search skips
+    # -1, 2, ..., p - 1; generators and classes are those the full search gave
+    field = {"p": 100003, "steps": [{"kind": "unramified", "poly": [-2, 0]}]}
+    path = write_doc(tmp_path, doc({"type": "square-class", "field": field,
+                                    "elements": ["-1", "t1", "t1 + 3", "100003", "5/7"]}))
+    assert main([path]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["generators"] == ["100003", "1 + 1*t1"]
+    assert ([e["class"] for e in result["elements"]]
+            == [[0, 0], [0, 0], [0, 1], [1, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("n", [64, 65])

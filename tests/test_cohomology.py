@@ -37,6 +37,7 @@ from chatelet.modules import (
     restrict_module,
     trivial_module,
 )
+from chatelet.surfaces import _descent_verdicts
 from helpers import (
     h1_cyclic,
     h1_reference,
@@ -203,6 +204,14 @@ def test_cohomology_caches_are_bounded():
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+def test_descent_verdict_cache_is_bounded():
+    for n in range(1, CACHE_SIZE + 12):
+        _descent_verdicts(n)
+    info = _descent_verdicts.cache_info()
+    assert info.maxsize == CACHE_SIZE
+    assert info.currsize <= info.maxsize
 
 
 def test_maps_compose_after_their_groups_left_the_cache():

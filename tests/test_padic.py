@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chatelet.padic import (
+    P_LIMIT,
     LocalField,
     PadicElement,
+    _is_prime,
     embed,
     is_square,
     norm,
@@ -16,7 +18,14 @@ from chatelet.padic import (
     square_class_group,
     valuation,
 )
-from helpers import is_square_by_search, reference_mul, square_mask_by_search
+from helpers import (
+    is_square_by_search,
+    reference_mul,
+    residue_table_by_fractions,
+    square_class_group_by_full_pool,
+    square_mask_by_search,
+    structure_constants_by_fractions,
+)
 
 
 def test_base_field_arithmetic():
@@ -624,3 +633,113 @@ def test_square_class_is_a_homomorphism(field, data):
 def test_square_class_rejects_a_foreign_element():
     with pytest.raises(ValueError):
         square_class(DEG6, Q2.integer(3))
+
+
+# -- primality and the bound on p --------------------------------------------------
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20_000) if _is_prime(n)] == \
+        [n for n in range(-3, 20_000) if _is_prime_by_trial_division(n)]
+
+
+def test_is_prime_on_large_numbers():
+    assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 12 + 39)
+    assert _is_prime(2 ** 64 - 59)           # the largest prime below the bound
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 31 + 11))
+    # strong pseudoprimes to the bases 2 and 2, ..., 23 respectively
+    assert not _is_prime(2047) and not _is_prime(3825123056546413051)
+
+
+def test_p_is_bounded():
+    assert LocalField.qp(2 ** 64 - 59).p == 2 ** 64 - 59
+    for p in (P_LIMIT, P_LIMIT + 13):        # 2^64 + 13 is prime
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            LocalField.qp(p)
+
+
+# -- structure-constant tables against the Fraction oracle ---------------------------
+
+_Q3_UNRAM = LocalField.qp(3).extend_unramified([1, 0])
+# the towers this module builds, besides PINNED_FIELDS and SEARCH_TOWERS
+TABLE_TOWERS = {
+    "Q5 unram": LocalField.qp(5).extend_unramified([-2, 0]),
+    "Q5 unram cubic": LocalField.qp(5).extend_unramified([2, -1, 0]),
+    "Q3 unram twice": _Q3_UNRAM.extend_unramified([-(_Q3_UNRAM.gen(0) + 1), 0]),
+    "Q3 unram eis": _Q3_UNRAM.extend_eisenstein([-3, 0]),
+    "Q3(sqrt3)": LocalField.qp(3).extend_eisenstein([-3, 0]),
+    "Q2 unram eis": _F4.extend_eisenstein([-2, 0]),
+    "Q7(sqrt7)": LocalField.qp(7).extend_eisenstein([-7, 0]),
+    "Q7(sqrt14)": LocalField.qp(7).extend_eisenstein([-14, 0]),
+    **PINNED_FIELDS,
+    **SEARCH_TOWERS,
+}
+
+
+def _assert_tables_match_oracle(field):
+    for k in range(len(field.steps) + 1):
+        F = LocalField.make(field.p, field.steps[:k])
+        if k:
+            assert ((F._table, F._table_den)
+                    == structure_constants_by_fractions(F.parent(), F.steps[-1].coeffs))
+        assert F._res_table == residue_table_by_fractions(F)
+
+
+@pytest.mark.parametrize("name", list(TABLE_TOWERS))
+def test_structure_constants_match_fraction_oracle(name):
+    _assert_tables_match_oracle(TABLE_TOWERS[name])
+
+
+@st.composite
+def small_towers(draw):
+    """Towers of degree at most four over Q_2, Q_3 or Q_5: one step of
+    degree two to four, or two steps of degree two, each unramified or
+    Eisenstein, with coefficient denominators prime to p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    field = LocalField.qp(p)
+    for d in draw(st.sampled_from([(2,), (3,), (4,), (2, 2)])):
+        n = len(field._monomials)
+        dens = st.sampled_from([1, 7, 11])
+
+        def integral():
+            nums = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            return field.from_coords([Fraction(a, draw(dens)) for a in nums])
+
+        if draw(st.booleans()):
+            coeffs = [integral() for _ in range(d)]
+            try:
+                field = field.extend_unramified(coeffs)
+            except ValueError:     # reducible modulo p
+                assume(False)
+        else:
+            pi = field.uniformizer()
+            unit = Fraction(draw(st.sampled_from([a for a in range(1, 13) if a % p])), draw(dens))
+            coeffs = [pi * (unit + pi * integral())] + [pi * integral() for _ in range(d - 1)]
+            field = field.extend_eisenstein(coeffs)
+    return field
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=small_towers())
+def test_structure_constants_match_fraction_oracle_on_drawn_towers(field):
+    _assert_tables_match_oracle(field)
+
+
+# -- square class generators at odd p with even residue degree -----------------------
+
+
+@pytest.mark.parametrize("p, quadratic, quartic", [
+    (3, [-2, 0], [1, 0, 1, 1]),
+    (5, [-2, 0], [1, 0, 1, 1]),
+    (7, [-3, 0], [1, 0, 0, 1]),
+])
+def test_square_class_generators_match_the_full_pool(p, quadratic, quartic):
+    q = LocalField.qp(p)
+    unram = q.extend_unramified(quadratic)
+    for field in (unram, q.extend_unramified(quartic), unram.extend_eisenstein([-p, 0])):
+        assert field.residue_degree % 2 == 0
+        assert square_class_group(field) == square_class_group_by_full_pool(field)

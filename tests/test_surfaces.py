@@ -3,15 +3,17 @@ from itertools import product
 
 import pytest
 
-from chatelet.cohomology import CohMap, dual_map
+from chatelet.cohomology import CohMap, dual_map, h1
 from chatelet.intmat import IntMatrix
-from chatelet.modules import FpAbGroup
+from chatelet.modules import FpAbGroup, chatelet_picard_module
 from chatelet.padic import LocalField, is_square, embed
 from chatelet.surfaces import (
     _DUAL_VERDICT,
     AnalysisReport,
     ChateletSurface,
     RationalChateletSurface,
+    _descent_maps,
+    _descent_verdicts,
     _rules,
     _verdict,
     analyze_global,
@@ -65,6 +67,27 @@ def test_picard_module_and_brauer_group():
     six = _surface(root_ints=(1, 2, 3, 4, 6, 7))
     with pytest.raises(ValueError):
         picard_module(six)
+
+
+def test_descent_verdicts_match_fresh_maps():
+    module = chatelet_picard_module()
+    coh = h1(module.group, module)
+    for n in range(1, 13):
+        res, cor = _descent_maps(coh, n)
+        assert _descent_verdicts(n) == (coh.invariants, (_verdict(res), _verdict(cor)))
+    assert _descent_verdicts(3) == ((2, 2), ("BIJECTIVE", "BIJECTIVE"))
+    assert _descent_verdicts(4) == ((2, 2), ("BIJECTIVE", "ZERO"))
+
+
+def test_descent_maps_refuse_half_degree_three():
+    six = _surface(root_ints=(1, 2, 3, 4, 6, 7))
+    cubic = Q5.extend_unramified([2, -1, 0])
+    with pytest.raises(ValueError):
+        brauer_h1(six)
+    with pytest.raises(ValueError):
+        restriction_on_h1(six, cubic)
+    with pytest.raises(ValueError):
+        corestriction_on_h1(six, cubic)
 
 
 def test_restriction_is_identity_when_nonsquare_survives():
