@@ -25,9 +25,11 @@ from .intmat import (
     solution_lattice,
 )
 
-# entries kept by each of the hom_module, h0 and h1 caches and by the
-# surfaces descent-verdict cache (one key per extension degree).  A benchmark
-# pass asks them for at most 45, 86, 140 and 3 distinct keys, so none is evicted
+# entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
+# descent-verdict cache (one key per extension degree) and by the padic field
+# cache and each field's square and inverse caches.  A benchmark pass asks
+# them for at most 45, 86, 140, 3, 67, 24 and 2 distinct keys, so none is
+# evicted
 CACHE_SIZE = 256
 
 

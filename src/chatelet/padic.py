@@ -14,6 +14,16 @@ walked step by step.  A product is one integer contraction with the table
 followed by a gcd.  The residue field multiplies with the same table,
 restricted to the unramified monomials and reduced mod p.
 
+For an unramified last step of degree d, that residue table multiplies in
+R = k[t]/(g), with k the parent's residue field of q elements and g the step
+polynomial mod p, whether or not g is irreducible.  So a field judges its own
+last step: for d <= 4, g is irreducible exactly when t^(q^k) - t is a unit of
+R, k = floor(d / 2), as then g has no factor of degree <= k (Rabin,
+"Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980), and
+an element is a unit when its multiplication matrix over F_p has a
+determinant prime to p.  That takes O(d log q) residue products and no
+enumeration of residues.
+
 The monomial basis of such a tower is an integral basis, and the weights of
 the Eisenstein monomials are pairwise distinct modulo the absolute
 ramification index.  That gives the closed valuation formula used
@@ -32,11 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, inf, lcm
 from typing import Sequence
 
 from .intmat import _bareiss
+from .modules import CACHE_SIZE
 
 
 # every p a field accepts is below this bound, where `_is_prime` is exact
@@ -137,7 +149,13 @@ class _Step:
                    # as elements of the field below
 
 
-_FIELD_CACHE: dict = {}
+def _remember(cache: dict, key, value):
+    """Store value in a per-field cache, first dropping the oldest entry when
+    the cache already holds CACHE_SIZE."""
+    if len(cache) >= CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 class LocalField:
@@ -209,6 +227,17 @@ class LocalField:
             tuple(tuple((pos[k], t * inv % p) for k, t in self._table[i][j]
                         if k in pos and t * inv % p) for j in self._unram)
             for i in self._unram)
+        # an unramified last step is irreducible mod p exactly when
+        # z = t^(q^(d // 2)) - t, q = p^(f / d), is a unit here, that is when
+        # the matrix of multiplication by z has a determinant prime to p
+        if steps and steps[-1].kind == "unramified":
+            d = len(steps[-1].coeffs)
+            t = self._to_residue(self.gen(len(steps) - 1))
+            z = tuple((a - b) % p for a, b in
+                      zip(self._res_pow(t, p ** (f // d * (d // 2))), t))
+            cols = [self._res_mul(z, tuple(int(i == j) for i in range(f))) for j in range(f)]
+            if _bareiss(cols, [()] * f)[1] % p == 0:
+                raise ValueError("polynomial is not irreducible over the residue field")
 
         self._square_cache: dict = {}
         self._class_cache = None
@@ -218,13 +247,9 @@ class LocalField:
     # -- construction ---------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=CACHE_SIZE)
     def make(p: int, steps: tuple) -> "LocalField":
-        key = (p, steps)
-        field = _FIELD_CACHE.get(key)
-        if field is None:
-            field = LocalField(p, steps)
-            _FIELD_CACHE[key] = field
-        return field
+        return LocalField(p, steps)
 
     @staticmethod
     def qp(p: int) -> "LocalField":
@@ -260,7 +285,6 @@ class LocalField:
 
     def _validate_last_step(self) -> None:
         st = self.steps[-1]
-        par = self.parent()
         d = len(st.coeffs)
         if d < 2:
             raise ValueError("extension step must have degree at least two")
@@ -283,18 +307,11 @@ class LocalField:
             for v in vals:
                 if v is not inf and v < 0:
                     raise ValueError("unramified step needs integral coefficients")
-            residues = [par._to_residue(c) for c in st.coeffs]
-            if not par._poly_irreducible(residues):
-                raise ValueError("polynomial is not irreducible over the residue field")
         else:
             raise ValueError(f"unknown step kind {st.kind!r}")
 
     # -- residue field helpers --------------------------------------------------
     # A residue is a tuple of integers mod p over the unramified monomials.
-
-    def _residue_elements(self):
-        """All residue field elements, lazily, in a fixed deterministic order."""
-        return product(range(self.p), repeat=self.residue_degree)
 
     def _res_mul(self, a: tuple, b: tuple) -> tuple:
         return tuple(x % self.p for x in _contract(self._res_table, a, b))
@@ -310,41 +327,6 @@ class LocalField:
             r = self._res_mul(r, r)
             n >>= 1
         return out
-
-    def _poly_irreducible(self, residues: list) -> bool:
-        """Irreducibility over the residue field for degrees up to four:
-        no roots, and for quartics additionally no monic quadratic divisor."""
-        p = self.p
-        d = len(residues)
-        elems = list(self._residue_elements())
-        one = self._res_one()
-        zero = elems[0]
-
-        def add(a, b, sign=1):
-            return tuple((x + sign * y) % p for x, y in zip(a, b))
-
-        for t in elems:
-            acc = one
-            for j in range(d - 1, -1, -1):
-                acc = add(self._res_mul(acc, t), residues[j])
-            if acc == zero:
-                return False
-        if d == 4:
-            for b in elems:
-                for c in elems:
-                    # remainder of the quartic modulo x^2 + b x + c
-                    # maintained as coefficients r1 x + r0 while dividing down
-                    r = list(residues) + [one]
-                    for k in range(4, 1, -1):
-                        lead = r[k]
-                        if lead == zero:
-                            continue
-                        r[k] = zero
-                        r[k - 1] = add(r[k - 1], self._res_mul(lead, b), -1)
-                        r[k - 2] = add(r[k - 2], self._res_mul(lead, c), -1)
-                    if r[0] == zero and r[1] == zero:
-                        return False
-        return True
 
     def _to_residue(self, x: "PadicElement") -> tuple:
         """Residue of an integral element."""
@@ -521,8 +503,7 @@ class PadicElement:
             raise ZeroDivisionError("element is a zero divisor; tower invalid")
         scale = self.den * field._table_den
         inv = PadicElement(field, [scale * row[0] for row in X], d)
-        field._inv_cache[key] = inv
-        return inv
+        return _remember(field._inv_cache, key, inv)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -662,8 +643,7 @@ def _class_vector(x: PadicElement) -> int:
                                field._res_pow(eps, 2 * (q - 2)))
             trace = sum(field._res_pow(c, 2 ** j)[0] for j in range(f)) % 2
             vec |= trace << (field.degree + 1)
-    field._square_cache[key] = vec
-    return vec
+    return _remember(field._square_cache, key, vec)
 
 
 def _det(m: list) -> PadicElement:
@@ -728,7 +708,7 @@ def _square_class_pool(K: LocalField):
     if K.p != 2:
         # lifts of every residue; for odd p a unit is a square exactly when
         # its residue is, so this pool always spans
-        for r in K._residue_elements():
+        for r in product(range(K.p), repeat=K.residue_degree):
             yield K._lift_residue(r)
 
 

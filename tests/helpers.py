@@ -16,11 +16,13 @@ tests generator edges only, `reference_mul` is an independent product for
 p-adic towers that the tests compare the library's structure-constant
 tables against, `structure_constants_by_fractions` and
 `residue_table_by_fractions` build those tables through Fraction
-coordinates, `square_class_group_by_full_pool` runs the greedy square class
-search without skipping the units of F_p*, and `is_square_by_search` and
-`square_mask_by_search` decide squareness and square classes over 2-adic
-towers by exhaustive search, against the library's quadratic-defect
-reduction.
+coordinates, `poly_irreducible_by_enumeration` decides irreducibility over
+a residue field by trying every root and quadratic divisor, against the
+library's Frobenius unit test, `square_class_group_by_full_pool` runs the
+greedy square class search without skipping the units of F_p*, and
+`is_square_by_search` and `square_mask_by_search` decide squareness and
+square classes over 2-adic towers by exhaustive search, against the
+library's quadratic-defect reduction.
 """
 
 import random
@@ -401,6 +403,46 @@ def residue_table_by_fractions(field: LocalField) -> tuple:
             row.append(tuple((r, v) for r, v in residues if v))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# -- irreducibility over a residue field by enumeration ----------------------------
+
+
+def poly_irreducible_by_enumeration(field: LocalField, residues: list) -> bool:
+    """Irreducibility of the monic polynomial with these lower coefficients
+    over the residue field of `field`, for degrees up to four: no root, and
+    for quartics no monic quadratic divisor, tried over every residue."""
+    p = field.p
+    d = len(residues)
+    elems = list(product(range(p), repeat=field.residue_degree))
+    one = field._res_one()
+    zero = elems[0]
+
+    def add(a, b, sign=1):
+        return tuple((x + sign * y) % p for x, y in zip(a, b))
+
+    for t in elems:
+        acc = one
+        for j in range(d - 1, -1, -1):
+            acc = add(field._res_mul(acc, t), residues[j])
+        if acc == zero:
+            return False
+    if d == 4:
+        for b in elems:
+            for c in elems:
+                # remainder of the quartic modulo x^2 + b x + c, kept as
+                # coefficients r1 x + r0 while dividing down
+                r = list(residues) + [one]
+                for k in range(4, 1, -1):
+                    lead = r[k]
+                    if lead == zero:
+                        continue
+                    r[k] = zero
+                    r[k - 1] = add(r[k - 1], field._res_mul(lead, b), -1)
+                    r[k - 2] = add(r[k - 2], field._res_mul(lead, c), -1)
+                if r[0] == zero and r[1] == zero:
+                    return False
+    return True
 
 
 # -- the greedy square class search over the whole pool -----------------------------

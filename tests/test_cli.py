@@ -1,5 +1,6 @@
 """Tests for the command line driver: job validation, execution, output."""
 
+import hashlib
 import io
 import json
 import random
@@ -505,6 +506,47 @@ def test_square_class_over_a_mersenne_prime_is_quick(capsys):
 def test_prime_past_the_bound_exits_2(capsys):
     assert main([str(DOCS / "prime_past_bound.json")]) == 2
     assert capsys.readouterr().err == "jobs[0].field.p: p must be below 2^64\n"
+
+
+# Unramified steps over large p are judged by one unit test in the residue
+# ring.  Enumerating residues instead took 6.8 s and 20 s on the first two
+# documents, whose output digests are the ones that enumeration gave, and
+# ran out of memory on the third.
+@pytest.mark.parametrize("name, digest", [
+    ("unramified_quadratic_1000003",
+     "2635e1516cb45cc237a8cc16a332ac70024689639dc72abe67c9f5a89bd506c3"),
+    ("unramified_quartic_1009",
+     "82798d44c47f12113b1f78afe5fb247cdac5ed81e2f672ee04b034bd98eeb466"),
+])
+def test_unramified_step_over_a_large_prime_is_quick(name, digest, capsys):
+    start = time.perf_counter()
+    assert main([str(DOCS / f"{name}.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_unramified_step_over_a_mersenne_prime_is_quick(capsys):
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert main([str(DOCS / "unramified_quadratic_mersenne.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    t1 = result["elements"][0]
+    assert t1["input"] == "t1" and t1["valuation"] == 0
+    # a unit of an unramified quadratic extension is a square exactly when
+    # its norm is a square mod p, and the norm of t1 is -3
+    assert t1["square"] is (pow(-3 % p, (p - 1) // 2, p) == 1)
+
+
+def test_rootless_reducible_quartic_step_exits_2(capsys):
+    # x^4 + 1 has no root mod 1019, as 1019 = 3 mod 8 leaves F_1019 without
+    # primitive eighth roots of unity, but it is (x^2 + a x - 1)(x^2 - a x - 1)
+    # with a^2 = -2, so only the quadratic-factor test rejects it
+    start = time.perf_counter()
+    assert main([str(DOCS / "unramified_quartic_two_quadratics.json")]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == ("jobs[0].field.steps[0]: polynomial is not "
+                                       "irreducible over the residue field\n")
 
 
 def test_square_class_with_even_residue_degree_at_a_large_prime(tmp_path, capsys):

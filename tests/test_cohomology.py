@@ -37,6 +37,7 @@ from chatelet.modules import (
     restrict_module,
     trivial_module,
 )
+from chatelet.padic import LocalField, is_square
 from chatelet.surfaces import _descent_verdicts
 from helpers import (
     h1_cyclic,
@@ -204,6 +205,21 @@ def test_cohomology_caches_are_bounded():
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+def test_padic_caches_are_bounded():
+    q3 = LocalField.qp(3)
+    for k in range(CACHE_SIZE + 12):
+        q3.extend_eisenstein([3 * (3 * k + 1), 0])
+    info = LocalField.make.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+    K = q3.extend_eisenstein([-3, 0])
+    for n in range(CACHE_SIZE + 12):
+        x = K.integer(n) + K.gen(0)
+        is_square(x)
+        x.inverse()
+    assert len(K._square_cache) == CACHE_SIZE
+    assert len(K._inv_cache) == CACHE_SIZE
 
 
 def test_descent_verdict_cache_is_bounded():

@@ -20,6 +20,7 @@ from chatelet.padic import (
 )
 from helpers import (
     is_square_by_search,
+    poly_irreducible_by_enumeration,
     reference_mul,
     residue_table_by_fractions,
     square_class_group_by_full_pool,
@@ -89,6 +90,40 @@ def test_second_unramified_step_checked_over_larger_residue_field():
     assert big.degree == 4 and big.residue_degree == 4
     lifted = big.rational(0) + big.gen(0) + 1
     assert is_square(lifted)
+
+
+# an irreducible quadratic over each F_p, for the bases with residue field F_(p^2)
+_IRREDUCIBLE_QUADRATIC = {2: [1, 1], 3: [1, 0], 5: [-2, 0], 7: [-3, 0]}
+
+
+def _residue_field_bases():
+    """Q_p and Q_p(sqrt p) for p = 2, 3, 5, 7, and an unramified quadratic
+    extension of each: residue fields F_p and F_(p^2), unramified and
+    ramified below the new step."""
+    for p, quadratic in _IRREDUCIBLE_QUADRATIC.items():
+        for base in (LocalField.qp(p), LocalField.qp(p).extend_eisenstein([-p, 0])):
+            yield base
+            yield base.extend_unramified(quadratic)
+
+
+def test_unramified_steps_match_the_enumeration_oracle():
+    # random monic steps of degree 2 to 4, each coefficient a lifted residue
+    # plus a multiple of the uniformizer: accepted exactly when no root and
+    # no quadratic divisor exists over the residue field
+    rng = random.Random(20)
+    for K in _residue_field_bases():
+        pi = K.uniformizer()
+        for d in (2, 3, 4):
+            for _ in range(20):
+                residues = [tuple(rng.randrange(K.p) for _ in range(K.residue_degree))
+                            for _ in range(d)]
+                coeffs = [K._lift_residue(r) + pi * rng.randint(-2, 2) for r in residues]
+                try:
+                    K.extend_unramified(coeffs)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == poly_irreducible_by_enumeration(K, residues), (K, residues)
 
 
 def test_mixed_tower_valuations():
