@@ -49,7 +49,7 @@ from .modules import (
     restrict_module,
     trivial_module,
 )
-from .padic import LocalField, is_square, square_class, square_class_group, valuation
+from .padic import LocalField, _is_prefix, is_square, square_class, square_class_group, valuation
 from .surfaces import (
     ChateletSurface,
     RationalChateletSurface,
@@ -132,7 +132,7 @@ def parse_element(text, field: LocalField):
         while peek() == ("op", "+") or peek() == ("op", "-"):
             _, op = take()
             rhs = term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _bounded(value + rhs if op == "+" else value - rhs)
         return value
 
     def term():
@@ -140,12 +140,9 @@ def parse_element(text, field: LocalField):
         while peek() == ("op", "*") or peek() == ("op", "/"):
             _, op = take()
             rhs = factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ExpressionError("division by zero")
-                value = value / rhs
+            if op == "/" and rhs.is_zero():
+                raise ExpressionError("division by zero")
+            value = _bounded(value * rhs if op == "*" else value / rhs)
         return value
 
     def factor():
@@ -204,6 +201,17 @@ def parse_element(text, field: LocalField):
 
 def _err(errors: list, path: str, message: str) -> None:
     errors.append(f"{path}: {message}")
+
+
+def _parse_each(raws, path, errors, parse):
+    """Parse every entry, reporting each failure at path[i]; None if any failed."""
+    values = []
+    for i, raw in enumerate(raws):
+        try:
+            values.append(parse(raw))
+        except ExpressionError as exc:
+            _err(errors, f"{path}[{i}]", str(exc))
+    return values if len(values) == len(raws) else None
 
 
 def _as_object(value, path, errors):
@@ -389,15 +397,9 @@ def _build_field(spec, path, errors):
         poly = _as_array(step_obj.get("poly"), f"{step_path}.poly", errors, min_len=2)
         if kind is None or poly is None:
             return None
-        coeffs = []
-        ok = True
-        for j, c in enumerate(poly):
-            try:
-                coeffs.append(parse_element(c, field))
-            except ExpressionError as exc:
-                _err(errors, f"{step_path}.poly[{j}]", str(exc))
-                ok = False
-        if not ok:
+        coeffs = _parse_each(poly, f"{step_path}.poly", errors,
+                             lambda c: parse_element(c, field))
+        if coeffs is None:
             return None
         try:
             if kind == "unramified":
@@ -543,26 +545,23 @@ def _prep_square_class(job, path, errors, trace):
     elems_spec = _as_array(job.get("elements"), f"{path}.elements", errors, min_len=1)
     if field is None or elems_spec is None:
         return None
-    elems = []
-    for i, raw in enumerate(elems_spec):
-        try:
-            value = parse_element(raw, field)
-        except ExpressionError as exc:
-            _err(errors, f"{path}.elements[{i}]", str(exc))
-            continue
+
+    def nonzero(raw):
+        value = parse_element(raw, field)
         if value.is_zero():
-            _err(errors, f"{path}.elements[{i}]", "zero has no square class")
-            continue
-        elems.append((raw if isinstance(raw, str) else str(raw), value))
-    if len(elems) != len(elems_spec):
+            raise ExpressionError("zero has no square class")
+        return value
+
+    values = _parse_each(elems_spec, f"{path}.elements", errors, nonzero)
+    if values is None:
         return None
 
     def execute():
         basis = square_class_group(field)
         rows = []
-        for raw, value in elems:
+        for raw, value in zip(elems_spec, values):
             rows.append({
-                "input": raw,
+                "input": str(raw),
                 "value": value.as_string(),
                 "valuation": valuation(value),
                 "square": is_square(value),
@@ -625,7 +624,7 @@ def _prep_analyze(job, path, errors, trace):
     extension = _build_field(job.get("extension"), f"{path}.extension", errors)
     if surface is None or extension is None:
         return None
-    if extension.p != base.p or extension.steps[:len(base.steps)] != base.steps:
+    if not _is_prefix(base, extension):
         _err(errors, f"{path}.extension",
              "must be a tower extension of the surface base field")
         return None
@@ -650,15 +649,8 @@ def _build_local_surface(spec, base, path, errors):
     except ExpressionError as exc:
         _err(errors, f"{path}.d", str(exc))
         return None
-    roots = []
-    ok = True
-    for i, raw in enumerate(roots_raw):
-        try:
-            roots.append(parse_element(raw, base))
-        except ExpressionError as exc:
-            _err(errors, f"{path}.roots[{i}]", str(exc))
-            ok = False
-    if not ok:
+    roots = _parse_each(roots_raw, f"{path}.roots", errors, lambda r: parse_element(r, base))
+    if roots is None:
         return None
     try:
         return ChateletSurface(base, d, tuple(roots))

@@ -107,7 +107,7 @@ class GModule:
     """A module over a finite group, in generator/relation/action-matrix form."""
 
     __slots__ = ("group", "rank", "relations", "action", "name",
-                 "_rel_matrix", "_rel_basis", "_coeff")
+                 "_rel_basis", "_coeff")
 
     def __init__(self, group: FiniteGroup, rank: int,
                  relations: Sequence[Sequence[int]],
@@ -122,7 +122,6 @@ class GModule:
         self.name = name
         if len(self.action) != group.order:
             raise ValueError("need one action matrix per group element")
-        self._rel_matrix = IntMatrix.from_columns(self.relations, nrows=rank)
         self._rel_basis = _lattice_basis(self.relations, rank)
         self._coeff: FpAbGroup | None = None
         if check:
@@ -180,7 +179,7 @@ class GModule:
 
     @property
     def rel_matrix(self) -> IntMatrix:
-        return self._rel_matrix
+        return IntMatrix.from_columns(self.relations, nrows=self.rank)
 
     def coeff_group(self) -> FpAbGroup:
         """The underlying abelian group, forgetting the action."""

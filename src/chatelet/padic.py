@@ -566,12 +566,17 @@ def valuation(x: PadicElement):
     return x.valuation()
 
 
+def _is_prefix(K: LocalField, L: LocalField) -> bool:
+    """Whether L is built as a tower on top of K: the same p, K's steps first."""
+    return L.p == K.p and L.steps[:len(K.steps)] == K.steps
+
+
 def embed(x: PadicElement, L: LocalField) -> PadicElement:
     """Canonical inclusion of x into an extension built on top of its field."""
     K = x.field
     if K == L:
         return x
-    if L.p != K.p or L.steps[:len(K.steps)] != K.steps:
+    if not _is_prefix(K, L):
         raise ValueError("target is not a tower extension of the element's field")
     # the monomials of K are the first ones of L
     return PadicElement(L, x.nums + (0,) * (len(L._monomials) - len(x.nums)), x.den)
@@ -663,7 +668,7 @@ def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
     """Field norm from L down to K; K must be a tower prefix of L."""
     if x.field != L:
         raise ValueError("element does not belong to L")
-    if L.p != K.p or L.steps[:len(K.steps)] != K.steps:
+    if not _is_prefix(K, L):
         raise ValueError("K is not a prefix of the tower defining L")
     while len(x.field.steps) > len(K.steps):
         # the determinant, over the parent, of multiplication by x on the
@@ -694,8 +699,14 @@ def _square_class_pool(K: LocalField):
         yield K.integer(-1)
         for c in range(2, K.p):
             yield K.integer(c)
+    f = 1
     for i, st in enumerate(K.steps):
         if st.kind == "unramified":
+            f *= len(st.coeffs)
+            # for odd p the residues of g + c lie in F_(p^f), all of them
+            # squares in K's residue field when its degree over F_(p^f) is even
+            if K.p != 2 and K.residue_degree // f % 2 == 0:
+                continue
             g = K.gen(i)
             yield g
             for c in range(1, K.p):

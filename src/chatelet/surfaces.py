@@ -29,7 +29,7 @@ from math import isqrt
 from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
 from .modules import CACHE_SIZE, GModule, chatelet_picard_module
-from .padic import LocalField, PadicElement, embed, is_square
+from .padic import LocalField, PadicElement, _is_prefix, embed, is_square
 
 
 _CONVENTIONS = (
@@ -156,7 +156,7 @@ def corestriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
 
 
 def _extension_degree(base: LocalField, L: LocalField) -> int:
-    if L.p != base.p or L.steps[:len(base.steps)] != base.steps:
+    if not _is_prefix(base, L):
         raise ValueError("L is not built as a tower extension of the base field")
     if L.degree % base.degree != 0:
         raise RuntimeError("tower degrees are inconsistent")
@@ -231,20 +231,20 @@ def _rules(rank_two: bool, degenerate, odd: bool, perfect: bool, h1_verdicts):
     and corestriction on the descent classes, given exactly when the half
     degree is two and the extension is known not to be degenerate.
 
-    The trace lines and the assumption that depend on `perfect` keep the
-    report shapes each mode has always produced; tests pin all of them.
+    Both modes read the evidence the same way: once `degenerate` is
+    settled, the trace names the rule behind the point-class verdicts, and
+    an assumption is listed exactly when a verdict rests on it.  `perfect`
+    matters only where the descent classes are computed, to choose between
+    duality and the parity rules.
     """
     trace: list = []
     assumptions: list = []
-    if not rank_two and (perfect or (degenerate is False and odd)):
-        assumptions.append(_KILLED_BY_TWO)
     if degenerate is None:
         h1_res = h1_cor = chow_res = chow_cor = "UNKNOWN"
     elif degenerate:
         h1_res = h1_cor = "ZERO" if rank_two else "NOT_COMPUTED"
         chow_res, chow_cor = "ZERO", "INJECTIVE"
-        if rank_two or not perfect:
-            trace.append("split_surface_has_no_point_class_kernel")
+        trace.append("split_surface_has_no_point_class_kernel")
     else:
         if rank_two:
             h1_res, h1_cor = h1_verdicts
@@ -258,12 +258,12 @@ def _rules(rank_two: bool, degenerate, odd: bool, perfect: bool, h1_verdicts):
         elif odd:
             chow_res, chow_cor = "INJECTIVE", "SURJECTIVE"
             trace.append("odd_degree_composite_is_identity_on_exponent_two")
+            if not rank_two:
+                assumptions.append(_KILLED_BY_TWO)
         else:
             chow_res = chow_cor = "UNKNOWN"
-            if rank_two:
-                trace.append("global_pairing_not_assumed_perfect")
-            elif perfect:
-                trace.append("even_degree_parity_gives_no_conclusion")
+            trace.append("global_pairing_not_assumed_perfect" if rank_two
+                         else "even_degree_parity_gives_no_conclusion")
     verdicts = {_H1_RES: h1_res, _H1_COR: h1_cor,
                 _CHOW_RES: chow_res, _CHOW_COR: chow_cor}
     return verdicts, trace, assumptions
@@ -302,14 +302,9 @@ def analyze_local(surface: ChateletSurface, L: LocalField) -> AnalysisReport:
     """
     n = _extension_degree(surface.base, L)
     degenerate = is_square(embed(surface.d, L))
-    if degenerate:
-        if n % 2 != 0:
-            raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
-        trace = ["degenerate_base_change"]
-    elif surface.half_degree == 2:
-        trace = ["nonsquare_class_survives_extension"]
-    else:
-        trace = []
+    if degenerate and n % 2 != 0:
+        raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
+    trace = ["degenerate_base_change" if degenerate else "nonsquare_class_survives_extension"]
     return _report(surface, surface.base.describe(), L.describe(), n, degenerate,
                    True, trace, [])
 

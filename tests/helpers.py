@@ -19,7 +19,8 @@ tables against, `structure_constants_by_fractions` and
 coordinates, `poly_irreducible_by_enumeration` decides irreducibility over
 a residue field by trying every root and quadratic divisor, against the
 library's Frobenius unit test, `square_class_group_by_full_pool` runs the
-greedy square class search without skipping the units of F_p*, and
+greedy square class search without skipping the units of F_p* or of the
+residue fields of unramified steps, and
 `is_square_by_search` and `square_mask_by_search` decide squareness and
 square classes over 2-adic towers by exhaustive search, against the
 library's quadratic-defect reduction.
@@ -450,10 +451,15 @@ def poly_irreducible_by_enumeration(field: LocalField, residues: list) -> bool:
 
 def square_class_group_by_full_pool(K: LocalField) -> list[PadicElement]:
     """The greedy square class basis read from the uniformizer, -1, 2, ...,
-    p - 1 and then the rest of the library's pool; the library leaves out
-    the units of F_p* when they are all squares in the residue field."""
+    p - 1, then g and g + c (c = 1, ..., p - 1) for the generator g of every
+    unramified step, and then the rest of the library's pool; the library
+    leaves out the units of F_p* and of each step's residue field when they
+    are all squares in the residue field of K."""
     target = K.degree + 2 if K.p == 2 else 2
     pool = [K.uniformizer(), K.integer(-1)] + [K.integer(c) for c in range(2, K.p)]
+    for i, st in enumerate(K.steps):
+        if st.kind == "unramified":
+            pool += [K.gen(i) + K.integer(c) for c in range(K.p)]
     basis: list[PadicElement] = []
     rows: dict = {}
     for cand in chain(pool, islice(_square_class_pool(K), 1, None)):

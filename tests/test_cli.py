@@ -66,8 +66,13 @@ def test_expression_size_bound():
     # 2^5000 has 5,001 bits; three of them multiplied exceed the bound
     assert parse_element("2^5000", q5) == q5.integer(2 ** 5000)
     assert parse_element("0" * 3400 + "7", q5) == q5.integer(7)
+    # each sum, difference, product and quotient is bounded as well; in the
+    # last three refusals below every operand and the final value fit
+    big = "2^5000 * 2^4999"     # 10,000 bits
+    assert parse_element("2^5000 * 2^4998 + 2^5000 * 2^4998", q5) == q5.integer(2 ** 9999)
     for bad in ("2^5000 * 2^5000 * 2^5000", "2^10000", "1" + "0" * 3400,
-                "t" + "1" * 3400, 10 ** 4000):
+                "t" + "1" * 3400, 10 ** 4000, f"{big} + {big} - {big}",
+                "2^5000 * 2^5000 / 2^5000", "(3^5000/5^3000) * (3^5000/5^3000) / (3^5000/5^3000)"):
         with pytest.raises(ExpressionError, match="exceeds 10000 bits"):
             parse_element(bad, q5)
 
@@ -547,6 +552,27 @@ def test_rootless_reducible_quartic_step_exits_2(capsys):
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == ("jobs[0].field.steps[0]: polynomial is not "
                                        "irreducible over the residue field\n")
+
+
+def test_intermediate_growth_of_an_expression_exits_2(capsys):
+    # 100 factors 3^5000/5^3000 multiplied and then divided out: each factor
+    # and the final value fit the bound, and building the products the
+    # bound refuses ran for more than a minute
+    start = time.perf_counter()
+    assert main([str(DOCS / "expression_intermediate_growth.json")]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "jobs[0].elements[0]: value exceeds 10000 bits\n"
+
+
+def test_two_unramified_quadratic_steps_over_a_large_prime_are_quick(capsys):
+    # the residues of t1 + c lie in F_(p^2) and are all squares in F_(p^4), so
+    # the greedy search skips them; trying all p - 1 ran for more than 30 s
+    start = time.perf_counter()
+    assert main([str(DOCS / "two_unramified_steps_1000003.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["generators"] == ["1000003", "1*t2"]
+    assert [e["class"] for e in result["elements"]] == [[0, 1], [0, 0]]
 
 
 def test_square_class_with_even_residue_degree_at_a_large_prime(tmp_path, capsys):

@@ -775,6 +775,11 @@ def test_structure_constants_match_fraction_oracle_on_drawn_towers(field):
 def test_square_class_generators_match_the_full_pool(p, quadratic, quartic):
     q = LocalField.qp(p)
     unram = q.extend_unramified(quadratic)
-    for field in (unram, q.extend_unramified(quartic), unram.extend_eisenstein([-p, 0])):
+    # a second unramified quadratic step, t2^2 = t1 + c with t1 + c a nonsquare
+    t1 = unram.gen(0)
+    c = next(c for c in range(1, p) if not is_square(t1 + c))
+    two_steps = unram.extend_unramified([-(t1 + c), 0])
+    for field in (unram, q.extend_unramified(quartic), unram.extend_eisenstein([-p, 0]),
+                  two_steps):
         assert field.residue_degree % 2 == 0
         assert square_class_group(field) == square_class_group_by_full_pool(field)

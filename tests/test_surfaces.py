@@ -264,6 +264,7 @@ DESCENT = ("restriction_acts_as_identity_on_descent_classes",
            "corestriction_multiplies_by_extension_degree")
 SPLIT = "split_surface_has_no_point_class_kernel"
 ODD_COMPOSITE = "odd_degree_composite_is_identity_on_exponent_two"
+PARITY = "even_degree_parity_gives_no_conclusion"
 KEYS = ("h1_restriction", "h1_corestriction", "chow_restriction", "chow_corestriction")
 Z, I, S, B, U, N = "ZERO", "INJECTIVE", "SURJECTIVE", "BIJECTIVE", "UNKNOWN", "NOT_COMPUTED"
 
@@ -279,10 +280,12 @@ SHAPES = {
                            ("nonsquare_class_survives_extension", *DESCENT,
                             "point_class_maps_are_exact_duals_of_descent_maps"), ()),
     ("local", 3, "split"): (True, None, (N, N, Z, I),
-                            ("degenerate_base_change",), (KILLED_BY_TWO,)),
-    ("local", 3, "odd"): (False, None, (N, N, I, S), (ODD_COMPOSITE,), (KILLED_BY_TWO,)),
+                            ("degenerate_base_change", SPLIT), ()),
+    ("local", 3, "odd"): (False, None, (N, N, I, S),
+                          ("nonsquare_class_survives_extension", ODD_COMPOSITE),
+                          (KILLED_BY_TWO,)),
     ("local", 3, "even"): (False, None, (N, N, U, U),
-                           ("even_degree_parity_gives_no_conclusion",), (KILLED_BY_TWO,)),
+                           ("nonsquare_class_survives_extension", PARITY), ()),
     ("global", 2, "asserted"): (True, (2, 2), (Z, Z, Z, I),
                                 ("degenerate_base_change", SPLIT), (ASSERTED,)),
     ("global", 2, "odd"): (False, (2, 2), (B, B, I, S),
@@ -301,7 +304,8 @@ SHAPES = {
                            ("odd_degree_extension_cannot_absorb_a_nonsquare", ODD_COMPOSITE),
                            (KILLED_BY_TWO,)),
     ("global", 3, "certificate"): (False, None, (N, N, U, U),
-                                   ("local_certificate_confirms_nonsquare",), (TRUSTED,)),
+                                   ("local_certificate_confirms_nonsquare", PARITY),
+                                   (TRUSTED,)),
     ("global", 3, "inconclusive"): (None, None, (U, U, U, U),
                                     ("local_certificate_inconclusive",), (TRUSTED,)),
     ("global", 3, "none"): (None, None, (U, U, U, U),
@@ -371,6 +375,26 @@ def test_rules_over_whole_domain():
                 else:
                     assert chow == (U, U)
     assert points == 120
+
+
+def test_rules_read_evidence_the_same_in_both_modes():
+    # the pairing matters only where the descent classes are computed; every
+    # other evidence point gives the same verdicts, trace and assumptions in
+    # both modes, and settled evidence always names its rule
+    points = 0
+    for rank_two, degenerate, odd in product((True, False), (True, False, None), (True, False)):
+        computed = rank_two and degenerate is False
+        for h1 in product(_DUAL_VERDICT, repeat=2) if computed else [None]:
+            points += 1
+            local = _rules(rank_two, degenerate, odd, True, h1)
+            global_ = _rules(rank_two, degenerate, odd, False, h1)
+            if not computed:
+                assert local == global_
+            for verdicts, trace, assumptions in (local, global_):
+                assert bool(trace) is (degenerate is not None)
+                killed = not rank_two and ODD_COMPOSITE in trace
+                assert assumptions == ([KILLED_BY_TWO] if killed else [])
+    assert points == 60
 
 
 def test_duality_rule_agrees_with_dual_map():
