@@ -28,6 +28,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import corestriction_map, h0, h1, restriction_map
 from .extensions import lemma52_check
@@ -41,6 +43,7 @@ from .groups import (
 )
 from .intmat import IntMatrix, smith_normal_form
 from .modules import (
+    CACHE_SIZE,
     GModule,
     GModuleMap,
     chatelet_picard_module,
@@ -49,7 +52,15 @@ from .modules import (
     restrict_module,
     trivial_module,
 )
-from .padic import LocalField, _is_prefix, is_square, square_class, square_class_group, valuation
+from .padic import (
+    LocalField,
+    _is_prefix,
+    _remember,
+    is_square,
+    square_class,
+    square_class_group,
+    valuation,
+)
 from .surfaces import (
     ChateletSurface,
     RationalChateletSurface,
@@ -71,6 +82,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|(t\d+)|([+\-*/^()×])|(\S))")
 # expression may reach (3,010 decimal digits): a power is refused before it
 # is computed when |n| times the bit length of its base exceeds it
 MAX_ELEMENT_BITS = 10_000
+
+# deepest nesting of parentheses and unary signs an expression may have;
+# the parser recurses at most four frames per level, so this stays far
+# below the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 def _bits(value) -> int:
@@ -111,13 +127,22 @@ def _tokenize(text: str) -> list:
 
 def parse_element(text, field: LocalField):
     """Evaluate an element expression: integers, generators t1, t2, ...,
-    the operators + - * / ^, and parentheses."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return _bounded(field.integer(text))
-    if not isinstance(text, str):
+    the operators + - * / ^, and parentheses.
+
+    Elements are immutable, so each (text, field) is evaluated once and kept
+    in a cache bounded at CACHE_SIZE; an error is not kept and repeats
+    unchanged."""
+    if not isinstance(text, (str, int)) or isinstance(text, bool):
         raise ExpressionError("element must be a string expression or an integer")
+    return _evaluate(text, field)
+
+
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _evaluate(text, field: LocalField):
+    if isinstance(text, int):
+        return _bounded(field.integer(text))
     tokens = _tokenize(text)
-    state = {"pos": 0}
+    state = {"pos": 0, "depth": 0}
 
     def peek():
         return tokens[state["pos"]] if state["pos"] < len(tokens) else (None, None)
@@ -126,6 +151,11 @@ def parse_element(text, field: LocalField):
         tok = peek()
         state["pos"] += 1
         return tok
+
+    def descend():
+        state["depth"] += 1
+        if state["depth"] > MAX_NESTING:
+            raise ExpressionError(f"expression nests deeper than {MAX_NESTING} levels")
 
     def expr():
         value = term()
@@ -147,12 +177,12 @@ def parse_element(text, field: LocalField):
 
     def factor():
         kind, val = peek()
-        if (kind, val) == ("op", "-"):
+        if kind == "op" and val in ("+", "-"):
             take()
-            return -factor()
-        if (kind, val) == ("op", "+"):
-            take()
-            return factor()
+            descend()
+            value = factor()
+            state["depth"] -= 1
+            return -value if val == "-" else value
         value = atom()
         if peek() == ("op", "^"):
             take()
@@ -179,7 +209,9 @@ def parse_element(text, field: LocalField):
                 raise ExpressionError(f"t{val} is not a generator of this field")
             return field.gen(val - 1)
         if (kind, val) == ("op", "("):
+            descend()
             value = expr()
+            state["depth"] -= 1
             if take() != ("op", ")"):
                 raise ExpressionError("expected closing parenthesis")
             return value
@@ -371,7 +403,28 @@ def _build_action(obj, group, rank, path, errors):
     return matrices
 
 
+# fields already built, keyed by the JSON text of their spec; a spec that
+# fails is never stored, so it runs every check and reports the same errors
+# each time
+_FIELDS: dict = {}
+
+
 def _build_field(spec, path, errors):
+    # a spec that cannot be written as JSON text, or only from a shallower
+    # stack, is built without the lookup
+    try:
+        key = json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError, RecursionError):
+        key = None
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _check_field(spec, path, errors)
+        if field is not None and key is not None:
+            _remember(_FIELDS, key, field)
+    return field
+
+
+def _check_field(spec, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None:
         return None
@@ -743,15 +796,28 @@ def run(document, trace: bool = False):
     return [thunk() for thunk in thunks], None
 
 
+# the text json.dumps gives each scalar type; strings go through the same
+# encoder it uses
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _to_json(value, indent: str = "") -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True), nested at indent.
 
     With an indent, json.dumps encodes in pure Python one element at a time,
     and a Smith transform is hundreds of integers; here a list of integers
-    is joined in one step.  Only nonempty lists and string-keyed dicts are
-    laid out here; every other value is left to json.dumps, so the bytes are
-    the same.
+    is joined in one step.  Strings, integers, booleans, None, nonempty
+    lists and string-keyed dicts are written here; every other value is
+    left to json.dumps, so the bytes are the same.
     """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     inner = indent + "  "
     if type(value) is list and value:
         brackets = "[]"
@@ -761,7 +827,8 @@ def _to_json(value, indent: str = "") -> str:
             items = [_to_json(x, inner) for x in value]
     elif type(value) is dict and value and all(type(k) is str for k in value):
         brackets = "{}"
-        items = [json.dumps(k) + ": " + _to_json(v, inner) for k, v in sorted(value.items())]
+        items = [encode_basestring_ascii(k) + ": " + _to_json(v, inner)
+                 for k, v in sorted(value.items())]
     else:
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
@@ -837,10 +904,11 @@ def main(argv=None) -> int:
         return 2
 
     # an integer literal past the int-to-str digit limit raises a plain
-    # ValueError, the parent class of JSONDecodeError
+    # ValueError, the parent class of JSONDecodeError, and nesting past the
+    # interpreter's recursion limit raises RecursionError
     try:
         document = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"document: invalid JSON ({exc})", file=sys.stderr)
         return 2
 

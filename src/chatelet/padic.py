@@ -172,7 +172,7 @@ class LocalField:
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
                  "_monomials", "_weights", "_table", "_table_den", "_unram",
                  "_res_table", "_square_cache", "_class_cache", "_inv_cache",
-                 "_pi_powers")
+                 "_pi_powers", "_hash", "_name")
 
     def __init__(self, p: int, steps: tuple):
         self.p = p
@@ -181,6 +181,9 @@ class LocalField:
             raise ValueError("p must be below 2^64")
         if not _is_prime(p):
             raise ValueError("p must be prime")
+        # both walk every coefficient of every step, so each is computed once
+        self._hash = hash((p, steps))
+        self._name = self._describe()
 
         e = 1
         f = 1
@@ -351,8 +354,11 @@ class LocalField:
         return self.rational(n)
 
     def rational(self, q) -> "PadicElement":
-        q = Fraction(q)
         nums = [0] * len(self._monomials)
+        if type(q) is int:
+            nums[0] = q
+            return PadicElement(self, nums, 1)
+        q = Fraction(q)
         nums[0] = q.numerator
         return PadicElement(self, nums, q.denominator)
 
@@ -395,6 +401,9 @@ class LocalField:
         return self.integer(self.p)
 
     def describe(self) -> str:
+        return self._name
+
+    def _describe(self) -> str:
         name = f"Q_{self.p}"
         for i, st in enumerate(self.steps):
             var = f"t{i + 1}"
@@ -414,7 +423,7 @@ class LocalField:
                 and self.p == other.p and self.steps == other.steps)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.steps))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LocalField({self.describe()})"
@@ -551,6 +560,8 @@ class PadicElement:
     def __hash__(self) -> int:
         # equal to the hash of the rational it equals, as __eq__ requires
         if not any(self.nums[1:]):
+            if self.den == 1:
+                return hash(self.nums[0])
             return hash(Fraction(self.nums[0], self.den))
         return hash((self.nums, self.den))
 

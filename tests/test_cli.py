@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from chatelet import cli
 from chatelet.cli import ExpressionError, main, parse_element, run
 from chatelet.intmat import IntMatrix
+from chatelet.modules import CACHE_SIZE
 from chatelet.padic import LocalField
 
 
@@ -414,6 +415,63 @@ def test_field_spec_errors_have_paths():
     assert any("jobs[0].field.steps[0].poly[0]" in e for e in errors)
 
 
+# -- the field and element caches ------------------------------------------------
+
+
+def test_cli_caches_are_bounded():
+    errors = []
+    for k in range(CACHE_SIZE + 12):
+        spec = {"p": 3, "steps": [{"kind": "eisenstein", "poly": [3 * (3 * k + 1), 0]}]}
+        assert cli._build_field(spec, "field", errors) is not None
+        parse_element(str(k), LocalField.qp(3))
+    assert errors == []
+    assert len(cli._FIELDS) == CACHE_SIZE
+    info = cli._evaluate.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+
+
+def test_a_repeated_bad_field_spec_is_reported_at_each_path():
+    bad = {"p": 5, "steps": [{"kind": "eisenstein", "poly": [-25, 0]}]}
+    job = {"type": "square-class", "field": bad, "elements": ["1"]}
+    results, errors = run(doc(job, job))
+    assert results is None
+    assert errors == [f"jobs[{i}].field.steps[0]: Eisenstein constant term must have "
+                      "valuation one" for i in range(2)]
+
+
+def test_a_built_prime_does_not_admit_a_bad_step(monkeypatch, capsys):
+    good = {"type": "square-class", "field": {"p": 5}, "elements": ["2"]}
+    bad = {"type": "square-class", "elements": ["2"],
+           "field": {"p": 5, "steps": [{"kind": "unramified", "poly": [-1, 0]}]}}
+    assert _run_stdin(monkeypatch, doc(good, bad)) == 2
+    assert capsys.readouterr().err == ("jobs[1].field.steps[0]: polynomial is not "
+                                       "irreducible over the residue field\n")
+
+
+def test_a_boolean_element_after_the_same_integer_is_refused(monkeypatch, capsys):
+    job = {"type": "square-class", "field": {"p": 5}, "elements": [1, True]}
+    assert _run_stdin(monkeypatch, doc(job)) == 2
+    assert capsys.readouterr().err == ("jobs[0].elements[1]: element must be a string "
+                                       "expression or an integer\n")
+
+
+def test_an_absent_step_list_is_the_empty_one():
+    errors = []
+    bare = cli._build_field({"p": 2}, "field", errors)
+    assert bare == cli._build_field({"p": 2, "steps": []}, "field", errors) == LocalField.qp(2)
+    assert errors == []
+
+
+def test_a_spec_too_deep_to_write_as_text_is_still_built():
+    # no JSON reader returns a list this deep, but run takes Python objects
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    job = {"type": "square-class", "field": {"p": 5, "note": deep}, "elements": ["2"]}
+    results, errors = run(doc(job))
+    assert errors is None and results[0]["field"] == "Q_5"
+
+
 # -- the command line itself -----------------------------------------------------
 
 
@@ -562,6 +620,35 @@ def test_intermediate_growth_of_an_expression_exits_2(capsys):
     assert main([str(DOCS / "expression_intermediate_growth.json")]) == 2
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == "jobs[0].elements[0]: value exceeds 10000 bits\n"
+
+
+def test_deeply_nested_expressions_exit_2(capsys):
+    # 300 nested parentheses and 2,000 unary minus signs: each level is a
+    # recursive call, and past the recursion limit the CLI exited 4
+    start = time.perf_counter()
+    assert main([str(DOCS / "expression_deep_nesting.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "".join(
+        f"jobs[0].elements[{i}]: expression nests deeper than 100 levels\n" for i in range(2))
+
+
+def test_nesting_bound_counts_parentheses_and_signs():
+    q5 = LocalField.qp(5)
+    assert parse_element("(" * 100 + "2" + ")" * 100, q5) == q5.integer(2)
+    assert parse_element("-" * 99 + "2", q5) == q5.integer(-2)
+    assert parse_element("-(" * 50 + "2" + ")" * 50, q5) == q5.integer(2)
+    assert parse_element("2^-1", q5) == q5.integer(2).inverse()
+    for bad in ("(" * 101 + "2" + ")" * 101, "+" * 101 + "2", "-(" * 50 + "-2" + ")" * 50):
+        with pytest.raises(ExpressionError, match="nests deeper than 100 levels"):
+            parse_element(bad, q5)
+
+
+def test_a_document_nested_past_the_json_reader_exits_2(monkeypatch, capsys):
+    text = '{"version": 1, "jobs": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("document: invalid JSON (")
 
 
 def test_two_unramified_quadratic_steps_over_a_large_prime_are_quick(capsys):

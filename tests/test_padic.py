@@ -410,6 +410,17 @@ def test_hash_agrees_with_equality_on_rationals():
         assert len({field.gen(0), field.gen(0) * 2 / 2}) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([LocalField.qp(5), DEG8]),
+       q=st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 12))
+def test_rationals_hash_and_compare_as_the_number(field, q):
+    # integers take their own path in `rational` and `__hash__`, fractions
+    # go through Fraction; either way the element stands for the number
+    x = field.rational(q)
+    assert x == q and hash(x) == hash(q)
+    assert x == field.rational(Fraction(q)) and hash(x) == hash(Fraction(q))
+
+
 def test_inverse_of_zero_raises():
     q3 = LocalField.qp(3)
     for field in [q3, q3.extend_unramified([1, 0]).extend_eisenstein([-3, 0])]:
