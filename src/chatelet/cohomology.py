@@ -12,12 +12,15 @@ from one Smith form.
 
 A CohomologyGroup hands out honest cocycles (one module element per group
 element) for its generators and converts arbitrary cocycles back to
-coordinates, which is what the restriction, corestriction, and induced maps
-are built from.
+coordinates.  The restriction, corestriction and induced maps are built
+from that alone: `_cohomology_map` picks h0 or h1 for the degree, sends each
+generator cocycle of the source through the map's transform for that
+degree and reads the image's coordinates in the target.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -27,6 +30,7 @@ from .intmat import (
     IntMatrix,
     LatticeSubquotient,
     Vector,
+    reduce_mod,
     solution_lattice,
 )
 from .modules import (
@@ -34,6 +38,7 @@ from .modules import (
     FpAbGroup,
     GModule,
     GModuleMap,
+    _block_relations,
     _diagonal_relations,
     describe_invariants,
     invariant_subquotient,
@@ -180,19 +185,13 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
     ns = len(gens)
     u_dim = ns * r
 
-    if ns == 0:
-        subq = LatticeSubquotient(0, [], [])
-        return CohomologyGroup(1, G, M, subq,
-                               to_ambient=lambda c: (),
-                               from_ambient=lambda u: {G.identity: (0,) * r})
-
     # expressions c(g) = E_g . u, E_g as r rows of length u_dim, where u
     # stacks the values on gens; c(g s_t) = c(g) + g . c(s_t) adds the
     # action of g into column block t.  An edge to an element already
     # reached closes a cycle, and its difference E_g + g e_t - E_gs must
-    # send u into the relation lattice.
-    from collections import deque
-
+    # send u into the relation lattice.  A group with no generators has
+    # u_dim = 0: the walk stops at the identity, and the subquotient below
+    # is empty with the zero cocycle as its only element.
     exprs: dict[int, list[list[int]]] = {G.identity: [[0] * u_dim for _ in range(r)]}
     constraints: list[IntMatrix] = []
     queue = deque([G.identity])
@@ -218,26 +217,15 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
 
     # coboundaries: u = ((s - 1) e_j)_s for each basis vector e_j, and the
     # relations placed in each generator's block
-    b1: list[Vector] = []
-    for j in range(r):
-        u = []
-        for s in gens:
-            u.extend(row[j] - (i == j) for i, row in enumerate(M.act(s).rows))
-        b1.append(tuple(u))
-    for t in range(ns):
-        for rel in M.relations:
-            v = [0] * u_dim
-            v[t * r:(t + 1) * r] = list(rel)
-            b1.append(tuple(v))
+    b1 = [tuple(row[j] - (i == j) for s in gens for i, row in enumerate(M.act(s).rows))
+          for j in range(r)]
+    b1 += _block_relations(M.relations, ns, r)
 
     subq = LatticeSubquotient(u_dim, z1, b1)
 
     def to_ambient(cocycle: Cocycle) -> Vector:
         _identity_cocycle_check(G, cocycle, r)
-        u: list[int] = []
-        for s in gens:
-            u.extend(cocycle[s])
-        return tuple(u)
+        return tuple(x for s in gens for x in cocycle[s])
 
     def from_ambient(u: Sequence[int]) -> dict[int, Vector]:
         return {g: tuple(sum(map(mul, row, u)) for row in exprs[g])
@@ -254,9 +242,11 @@ class CohMap:
     in their coordinate presentations.
 
     `source` and `target` only need to expose `invariants`; both
-    CohomologyGroup and FpAbGroup qualify.  `kind` records how the map was
-    built (restriction, corestriction, induced-by-module-map, transpose-dual,
-    or a composite).
+    CohomologyGroup and FpAbGroup qualify.  Column i of `matrix` is the image
+    of source generator i; images are reduced modulo the target's invariants
+    by the same rule as a subquotient's coordinates (`reduce_mod`).  `kind`
+    records how the map was built (restriction, corestriction,
+    induced-by-module-map, transpose-dual, or a composite).
     """
 
     __slots__ = ("source", "target", "matrix", "kind")
@@ -278,8 +268,7 @@ class CohMap:
                         raise ValueError("map is not well defined on the torsion relations")
 
     def _reduce(self, coords: Sequence[int]) -> Vector:
-        return tuple(c % d if d != 0 else c
-                     for c, d in zip(coords, self.target.invariants))
+        return reduce_mod(coords, self.target.invariants)
 
     def apply(self, coords: Sequence[int]) -> Vector:
         if len(coords) != len(self.source.invariants):
@@ -307,9 +296,8 @@ class CohMap:
 
     def cokernel_invariants(self) -> tuple[int, ...]:
         t = len(self.target.invariants)
-        basis = [tuple(1 if i == j else 0 for j in range(t)) for i in range(t)]
         den = self.matrix.columns() + _diagonal_relations(self.target.invariants)
-        return LatticeSubquotient(t, basis, den).invariants
+        return LatticeSubquotient(t, IntMatrix.identity(t).rows, den).invariants
 
     def is_zero(self) -> bool:
         return all(not any(self._reduce(self.matrix.col(j)))
@@ -324,12 +312,8 @@ class CohMap:
     def is_identity(self) -> bool:
         if self.source.invariants != self.target.invariants:
             return False
-        s = len(self.source.invariants)
-        for i in range(s):
-            e = tuple(1 if j == i else 0 for j in range(s))
-            if self.apply(e) != self._reduce(e):
-                return False
-        return True
+        return all(self.apply(e) == self._reduce(e)
+                   for e in IntMatrix.identity(len(self.source.invariants)).rows)
 
     def describe(self) -> str:
         bits = []
@@ -345,8 +329,24 @@ class CohMap:
         return f"CohMap({self.kind}: {self.matrix.shape[1]} -> {self.matrix.shape[0]} coords)"
 
 
-def _map_from_transform(src: CohomologyGroup, dst: CohomologyGroup,
-                        transform: Callable, kind: str) -> CohMap:
+def _cohomology_map(degree: int, source: tuple[FiniteGroup, GModule],
+                    target: tuple[FiniteGroup, GModule], in_degree_0: Callable,
+                    in_degree_1: Callable, kind: str) -> CohMap:
+    """H^d(source) -> H^d(target) for d = degree, from a transform per degree.
+
+    Each generator cocycle of the source goes through the transform for d
+    (a vector in degree zero, a dict in degree one), and its class in the
+    target gives one column.  h0 and h1 are read from the module at call
+    time, so a wrapper that replaces them (perfbench/trace_layers.py) sees
+    every call.
+    """
+    if degree == 0:
+        coh, transform = h0, in_degree_0
+    elif degree == 1:
+        coh, transform = h1, in_degree_1
+    else:
+        raise ValueError("only degrees 0 and 1 are supported")
+    src, dst = coh(*source), coh(*target)
     cols = [dst.coords_of_cocycle(transform(c)) for c in src.generator_cocycles()]
     matrix = IntMatrix.from_columns(cols, nrows=len(dst.invariants))
     return CohMap(src, dst, matrix, kind)
@@ -357,17 +357,12 @@ def restriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
     G = H.parent
     if M.group != G:
         raise ValueError("module is not over the subgroup's parent")
-    RM = restrict_module(M, H)
-    if degree == 0:
-        return _map_from_transform(h0(G, M), h0(H.group, RM),
-                                   lambda v: v, "restriction")
-    if degree != 1:
-        raise ValueError("only degrees 0 and 1 are supported")
 
-    def transform(cocycle: Cocycle) -> dict[int, Vector]:
+    def restrict(cocycle: Cocycle) -> dict[int, Vector]:
         return {i: tuple(cocycle[H.embed(i)]) for i in H.group.elements()}
 
-    return _map_from_transform(h1(G, M), h1(H.group, RM), transform, "restriction")
+    return _cohomology_map(degree, (G, M), (H.group, restrict_module(M, H)),
+                           lambda v: v, restrict, "restriction")
 
 
 def corestriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
@@ -380,20 +375,15 @@ def corestriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
     G = H.parent
     if M.group != G:
         raise ValueError("module is not over the subgroup's parent")
-    RM = restrict_module(M, H)
     reps = H.left_coset_reps()
-    if degree == 0:
-        def norm(v) -> Vector:
-            out = [0] * M.rank
-            for rep in reps:
-                out = [a + b for a, b in zip(out, M.act(rep).apply(v))]
-            return tuple(out)
 
-        return _map_from_transform(h0(H.group, RM), h0(G, M), norm, "corestriction")
-    if degree != 1:
-        raise ValueError("only degrees 0 and 1 are supported")
+    def norm(v) -> Vector:
+        out = [0] * M.rank
+        for rep in reps:
+            out = [a + b for a, b in zip(out, M.act(rep).apply(v))]
+        return tuple(out)
 
-    def transform(cocycle: Cocycle) -> dict[int, Vector]:
+    def transfer(cocycle: Cocycle) -> dict[int, Vector]:
         out: dict[int, Vector] = {}
         for g in G.elements():
             total = [0] * M.rank
@@ -404,7 +394,8 @@ def corestriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
             out[g] = tuple(total)
         return out
 
-    return _map_from_transform(h1(H.group, RM), h1(G, M), transform, "corestriction")
+    return _cohomology_map(degree, (H.group, restrict_module(M, H)), (G, M),
+                           norm, transfer, "corestriction")
 
 
 def induced_map(f: GModuleMap, degree: int = 1) -> CohMap:
@@ -412,17 +403,12 @@ def induced_map(f: GModuleMap, degree: int = 1) -> CohMap:
     if f.scope is not None:
         raise ValueError("map must be equivariant over the whole group")
     G = f.source.group
-    if degree == 0:
-        return _map_from_transform(h0(G, f.source), h0(G, f.target),
-                                   lambda v: f.apply(v), "induced-by-module-map")
-    if degree != 1:
-        raise ValueError("only degrees 0 and 1 are supported")
 
-    def transform(cocycle: Cocycle) -> dict[int, Vector]:
+    def push(cocycle: Cocycle) -> dict[int, Vector]:
         return {g: f.apply(v) for g, v in cocycle.items()}
 
-    return _map_from_transform(h1(G, f.source), h1(G, f.target),
-                               transform, "induced-by-module-map")
+    return _cohomology_map(degree, (G, f.source), (G, f.target),
+                           f.apply, push, "induced-by-module-map")
 
 
 # -- duality ----------------------------------------------------------------------

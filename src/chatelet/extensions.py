@@ -17,18 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cohomology import CohomologyGroup, corestriction_map, h1
+from .cohomology import CohomologyGroup, h1
 from .groups import FiniteGroup, Subgroup
-from .intmat import IntMatrix, Vector
+from .intmat import IntMatrix, Vector, hstack, vstack
 from .modules import (
     GModule,
     GModuleMap,
     HomModule,
     _coset_blocks,
+    _stacked_relations,
     hom_module,
     ind_counit,
     ind_unit,
-    induce_module,
     restrict_module,
 )
 
@@ -61,17 +61,13 @@ class ExtensionClass:
 
     def total_module(self) -> GModule:
         """The middle term, as an explicit module on stacked generators."""
-        from .intmat import hstack, vstack
-
         rn, rm = self.sub.rank, self.quot.rank
-        relations = [tuple(r) + (0,) * rm for r in self.sub.relations]
-        relations += [(0,) * rn + tuple(r) for r in self.quot.relations]
         mats = []
         for g in self.group.elements():
             top = hstack(self.sub.act(g), self.phi[g])
             bottom = hstack(IntMatrix.zeros(rm, rn), self.quot.act(g))
             mats.append(vstack(top, bottom))
-        return GModule(self.group, rn + rm, relations, mats,
+        return GModule(self.group, rn + rm, _stacked_relations(self.sub, self.quot), mats,
                        name=f"ext({self.quot.name} by {self.sub.name})", check=False)
 
     def hom_cocycle(self, hom: HomModule | None = None) -> dict[int, Vector]:
@@ -162,14 +158,14 @@ def cores_ext(E: ExtensionClass, H: Subgroup, M: GModule, N: GModule) -> Extensi
     return ExtensionClass(G, N, M, phi)
 
 
-def scaled_map(f: GModuleMap, n: int, check: bool = True) -> GModuleMap | None:
+def scaled_map(f: GModuleMap, n: int) -> GModuleMap | None:
     """n times a module map, promoted to a fully equivariant map if it is one.
 
     Returns None when the scaled matrix does not commute with the whole group
     action (the zero map always does).
     """
     try:
-        return GModuleMap(f.source, f.target, f.matrix.scale(n), check=check)
+        return GModuleMap(f.source, f.target, f.matrix.scale(n))
     except ValueError:
         return None
 
@@ -222,7 +218,7 @@ def lemma52_check(H: Subgroup, P: GModule, Q: GModule, R: GModule,
     nh = scaled_map(GModuleMap(Q, R, h.matrix, check=False), n)
     witnesses: list[tuple[Vector | None, Vector]] = []
     holds = nh is not None
-    for coords in _coordinate_basis(ext_pq):
+    for coords in IntMatrix.identity(len(ext_pq.invariants)).rows:
         E = extension_from_cocycle(G, P, Q, coords)
         route_a = class_of(pushout(E, nh), ext_pr) if nh is not None else None
         eh = pushout(res_ext(E, H), h)
@@ -236,8 +232,3 @@ def lemma52_check(H: Subgroup, P: GModule, Q: GModule, R: GModule,
                          witnesses=witnesses,
                          source_invariants=ext_pq.invariants,
                          target_invariants=ext_pr.invariants)
-
-
-def _coordinate_basis(ext: CohomologyGroup) -> list[Vector]:
-    k = len(ext.invariants)
-    return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]

@@ -9,6 +9,7 @@ induction are built from.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Sequence
 
 
@@ -257,8 +258,6 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group on n letters; elements are permutations in lex order."""
-    from itertools import permutations
-
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
@@ -266,29 +265,20 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 on {+-1, +-i, +-j, +-k}."""
-    # basis products: (b1, b2) -> (sign, basis), bases 0:1, 1:i, 2:j, 3:k
-    prod = {}
-    for b in range(4):
-        prod[(0, b)] = (1, b)
-        prod[(b, 0)] = (1, b)
-    for b in (1, 2, 3):
-        prod[(b, b)] = (-1, 0)
-    prod[(1, 2)] = (1, 3)
-    prod[(2, 1)] = (-1, 3)
-    prod[(2, 3)] = (1, 1)
-    prod[(3, 2)] = (-1, 1)
-    prod[(3, 1)] = (1, 2)
-    prod[(1, 3)] = (-1, 2)
+    """The quaternion group of order 8 on {+-1, +-i, +-j, +-k}.
 
-    def encode(sign, basis):
-        return basis * 2 + (0 if sign == 1 else 1)
-
+    Element 2 b + s is (-1)^s times unit b (0: 1, 1: i, 2: j, 3: k).  Units
+    multiply by i j = k cyclically, a reversed product is negated, and each
+    of i, j and k squares to -1."""
     def mul(x, y):
-        s1, b1 = (1 if x % 2 == 0 else -1), x // 2
-        s2, b2 = (1 if y % 2 == 0 else -1), y // 2
-        s3, b3 = prod[(b1, b2)]
-        return encode(s1 * s2 * s3, b3)
+        a, b = x // 2, y // 2
+        if a == 0 or b == 0:
+            neg, c = 0, a + b
+        elif a == b:
+            neg, c = 1, 0
+        else:
+            neg, c = b != a % 3 + 1, 6 - a - b
+        return 2 * c + (x + y + neg) % 2
 
     table = [[mul(x, y) for y in range(8)] for x in range(8)]
     return FiniteGroup(table, name="Q8", check=False)

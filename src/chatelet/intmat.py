@@ -552,6 +552,11 @@ def solution_lattice(dim: int, maps: Sequence[IntMatrix],
     return basis
 
 
+def reduce_mod(coords: Sequence[int], invariants: Sequence[int]) -> Vector:
+    """Each coordinate modulo its cyclic order; free coordinates (order 0) kept."""
+    return tuple(c % d if d != 0 else c for c, d in zip(coords, invariants))
+
+
 def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> Vector:
     """The sum of c * v over coefficients c and vectors v of length n."""
     return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n))
@@ -635,4 +640,4 @@ class LatticeSubquotient:
         """Normalize a raw coordinate tuple modulo the invariants."""
         if len(coords) != len(self.invariants):
             raise ValueError("coordinate length mismatch")
-        return tuple(c % d if d != 0 else c for c, d in zip(coords, self.invariants))
+        return reduce_mod(coords, self.invariants)

@@ -13,23 +13,28 @@ cohomology layer does.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, cyclic_group
 from .intmat import (
     IntMatrix,
     LatticeSubquotient,
     Vector,
     _coordinates,
     _lattice_basis,
+    block_diagonal,
+    hstack,
     solution_lattice,
+    vstack,
 )
 
 # entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
-# descent-verdict cache (one key per extension degree) and by the padic field
-# cache and each field's square and inverse caches.  A benchmark pass asks
-# them for at most 45, 86, 140, 3, 67, 24 and 2 distinct keys, so none is
-# evicted
+# descent-verdict cache (one key per extension degree), by the padic field
+# cache and each field's square and inverse caches, and by the CLI's field
+# spec cache (`_FIELDS`) and element expression cache (`_evaluate`).  A
+# benchmark pass asks them for at most 45, 86, 140, 3, 67, 24, 2, 70 and 172
+# distinct keys, so none is evicted
 CACHE_SIZE = 256
 
 
@@ -54,8 +59,7 @@ class FpAbGroup:
         self.relations = tuple(tuple(int(x) for x in r) for r in relations)
         if any(len(r) != rank for r in self.relations):
             raise ValueError("relation length does not match rank")
-        basis = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-        self._subq = LatticeSubquotient(rank, basis, self.relations)
+        self._subq = LatticeSubquotient(rank, IntMatrix.identity(rank).rows, self.relations)
 
     @property
     def invariants(self) -> tuple[int, ...]:
@@ -85,8 +89,6 @@ class FpAbGroup:
         """All coordinate tuples; only available for finite groups."""
         if self.order is None:
             raise ValueError("group is infinite")
-        from itertools import product
-
         return product(*(range(d) for d in self.invariants))
 
     def describe(self) -> str:
@@ -263,6 +265,19 @@ class GModuleMap:
 # -- constructors ---------------------------------------------------------------
 
 
+def _block_relations(relations: Sequence[Sequence[int]], n: int, r: int) -> list[Vector]:
+    """Each relation of length r placed in each of n blocks of width r,
+    block by block: the relations of a direct sum of n copies."""
+    return [(0,) * (t * r) + tuple(rel) + (0,) * ((n - 1 - t) * r)
+            for t in range(n) for rel in relations]
+
+
+def _stacked_relations(M: GModule, N: GModule) -> list[Vector]:
+    """The relations of M + N on the generators of M followed by those of N."""
+    return ([tuple(r) + (0,) * N.rank for r in M.relations]
+            + [(0,) * M.rank + tuple(r) for r in N.relations])
+
+
 def trivial_module(G: FiniteGroup, rank: int = 1,
                    relations: Sequence[Sequence[int]] = (), name: str | None = None) -> GModule:
     """Z^rank / relations with every group element acting as the identity."""
@@ -317,8 +332,6 @@ def chatelet_picard_module() -> GModule:
     product of two conjugate linear factors, relative to its degree two
     splitting extension, modulo the part with trivial cohomology.
     """
-    from .groups import cyclic_group
-
     c2 = cyclic_group(2)
     eye = IntMatrix.identity(2)
     return GModule(c2, 2, (), [eye, -eye], name="pic", check=False)
@@ -327,13 +340,8 @@ def chatelet_picard_module() -> GModule:
 def direct_sum(M: GModule, N: GModule) -> GModule:
     if M.group != N.group:
         raise ValueError("summands are over different groups")
-    from .intmat import block_diagonal
-
-    rank = M.rank + N.rank
-    relations = [tuple(r) + (0,) * N.rank for r in M.relations]
-    relations += [(0,) * M.rank + tuple(r) for r in N.relations]
     mats = [block_diagonal([M.act(g), N.act(g)]) for g in M.group.elements()]
-    return GModule(M.group, rank, relations, mats,
+    return GModule(M.group, M.rank + N.rank, _stacked_relations(M, N), mats,
                    name=f"{M.name}+{N.name}", check=False)
 
 
@@ -372,18 +380,10 @@ def induce_module(M: GModule, H: Subgroup) -> GModule:
     """
     if M.group != H.group:
         raise ValueError("module is not over the given subgroup")
-    G = H.parent
-    n = H.index
-    r = M.rank
-    rank = n * r
-    relations = []
-    for i in range(n):
-        for rel in M.relations:
-            v = [0] * rank
-            v[i * r:(i + 1) * r] = list(rel)
-            relations.append(tuple(v))
-    mats = [_coset_blocks(H, g, M.act, r, r) for g in G.elements()]
-    return GModule(G, rank, relations, mats, name=f"Ind({M.name})", check=False)
+    n, r = H.index, M.rank
+    relations = _block_relations(M.relations, n, r)
+    mats = [_coset_blocks(H, g, M.act, r, r) for g in H.parent.elements()]
+    return GModule(H.parent, n * r, relations, mats, name=f"Ind({M.name})", check=False)
 
 
 def ind_unit(M: GModule, H: Subgroup) -> GModuleMap:
@@ -394,8 +394,6 @@ def ind_unit(M: GModule, H: Subgroup) -> GModuleMap:
     target = induce_module(restrict_module(M, H), H)
     reps = H.left_coset_reps()
     blocks = [M.act(M.group.inv(rep)) for rep in reps]
-    from .intmat import vstack
-
     return GModuleMap(M, target, vstack(*blocks), check=False)
 
 
@@ -406,8 +404,6 @@ def ind_counit(M: GModule, H: Subgroup) -> GModuleMap:
     source = induce_module(restrict_module(M, H), H)
     reps = H.left_coset_reps()
     blocks = [M.act(rep) for rep in reps]
-    from .intmat import hstack
-
     return GModuleMap(source, M, hstack(*blocks), check=False)
 
 
@@ -419,6 +415,16 @@ def _diagonal_relations(invariants: Sequence[int]) -> list[Vector]:
     n = len(invariants)
     return [tuple(d if i == j else 0 for j in range(n))
             for i, d in enumerate(invariants) if d != 0]
+
+
+def _flatten(F: IntMatrix) -> Vector:
+    """A matrix as one vector: entry (i, j) of an rn x rm matrix sits at i * rm + j."""
+    return tuple(x for row in F.rows for x in row)
+
+
+def _unflatten(flat: Sequence[int], rn: int, rm: int) -> IntMatrix:
+    """The rn x rm matrix whose entry (i, j) is flat[i * rm + j]."""
+    return IntMatrix([flat[i * rm:(i + 1) * rm] for i in range(rn)], ncols=rm)
 
 
 class HomModule(GModule):
@@ -436,35 +442,25 @@ class HomModule(GModule):
             raise ValueError("source and target are over different groups")
         G = source.group
         rm, rn = source.rank, target.rank
-        B = rn * rm  # entry (i, j) of a matrix sits at i * rm + j
+        B = rn * rm  # matrices flattened by `_flatten`
 
         # lattice of matrices that are well defined on relations:
         # for each source relation, F . rel must land in the relation lattice
-        # of the target; F |-> F . rel is an rn x B matrix
-        maps = []
-        for rel in source.relations:
-            rows = [[0] * B for _ in range(rn)]
-            for i in range(rn):
-                rows[i][i * rm:(i + 1) * rm] = rel
-            maps.append(IntMatrix(rows, ncols=B))
+        # of the target; F |-> F . rel is an rn x B matrix, rel in each block
+        maps = [IntMatrix._wrap(_block_relations([rel], rn, rm), B)
+                for rel in source.relations]
         hom_gens = solution_lattice(B, maps, target.relations)
 
-        # matrices that are zero as maps: every column in the target relations
-        triv_gens = []
-        for j in range(rm):
-            for nrel in target.relations:
-                v = [0] * B
-                for i in range(rn):
-                    v[i * rm + j] = nrel[i]
-                triv_gens.append(tuple(v))
+        # matrices that are zero as maps, every column in the target
+        # relations: one relation in one column at a time
+        zero = (0,) * rn
+        triv_gens = [_flatten(IntMatrix.from_columns(
+                         [nrel if k == j else zero for k in range(rm)], nrows=rn))
+                     for j in range(rm) for nrel in target.relations]
 
         subq = LatticeSubquotient(B, hom_gens, triv_gens)
         n = len(subq.invariants)
         relations = _diagonal_relations(subq.invariants)
-
-        def to_matrix(vec: Sequence[int]) -> IntMatrix:
-            return IntMatrix([[vec[i * rm + j] for j in range(rm)] for i in range(rn)],
-                             ncols=rm)
 
         mats = []
         for g in G.elements():
@@ -472,9 +468,8 @@ class HomModule(GModule):
             ag = target.act(g)
             ag_inv = source.act(G.inv(g))
             for gen in subq.generators:
-                conj = ag @ to_matrix(gen) @ ag_inv
-                flat = tuple(conj.rows[i][j] for i in range(rn) for j in range(rm))
-                cols.append(subq.coords(flat))
+                conj = ag @ _unflatten(gen, rn, rm) @ ag_inv
+                cols.append(subq.coords(_flatten(conj)))
             mats.append(IntMatrix.from_columns(cols, nrows=n))
 
         super().__init__(G, n, relations, mats,
@@ -485,20 +480,14 @@ class HomModule(GModule):
 
     def matrix_of(self, coords: Sequence[int]) -> IntMatrix:
         """An honest matrix representing the hom class with these coordinates."""
-        flat = self._hom_subq.lift(coords)
-        rm = self.hom_source.rank
-        rn = self.hom_target.rank
-        return IntMatrix([[flat[i * rm + j] for j in range(rm)] for i in range(rn)],
-                         ncols=rm)
+        return _unflatten(self._hom_subq.lift(coords),
+                          self.hom_target.rank, self.hom_source.rank)
 
     def coords_of(self, F: IntMatrix) -> Vector:
         """Coordinates of a matrix; raises if it is not well defined on relations."""
-        rm = self.hom_source.rank
-        rn = self.hom_target.rank
-        if F.shape != (rn, rm):
+        if F.shape != (self.hom_target.rank, self.hom_source.rank):
             raise ValueError("matrix shape does not match the hom module")
-        flat = tuple(F.rows[i][j] for i in range(rn) for j in range(rm))
-        return self._hom_subq.coords(flat)
+        return self._hom_subq.coords(_flatten(F))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -118,6 +118,22 @@ def test_h1_trivial_group():
     assert h1(G, trivial_module(G, relations=[(5,)])).is_trivial
 
 
+@pytest.mark.parametrize("G", [cyclic_group(1), trivial_subgroup(symmetric_group(3)).group],
+                         ids=["C1", "trivial-subgroup-of-S3"])
+def test_h1_group_without_generators(G):
+    # the generator walk stops at the identity: H^1 is zero and its one
+    # class is the zero cocycle, for free, regular and finite coefficients
+    assert G.generating_set() == []
+    for M in (trivial_module(G, rank=2), regular_module(G),
+              trivial_module(G, rank=2, relations=[(3, 0), (1, 4)])):
+        coh = h1(G, M)
+        zero = {G.identity: (0,) * M.rank}
+        assert coh.invariants == ()
+        assert coh.generator_cocycles() == []
+        assert coh.cocycle_from_coords(()) == zero
+        assert coh.coords_of_cocycle(zero) == ()
+
+
 def test_h1_generator_cocycles_are_cocycles():
     rng = random.Random(11)
     for G in (cyclic_group(4), dihedral_group(3), direct_product(C2, C2)):
@@ -344,6 +360,20 @@ def test_induced_map_projection():
     proj = GModuleMap(S, M, IntMatrix([[1, 0]]))
     ind = induced_map(proj)
     assert ind.is_surjective()
+
+
+@pytest.mark.parametrize("degree", [2, -1])
+@pytest.mark.parametrize("build", [
+    lambda H, M, d: restriction_map(H, M, degree=d),
+    lambda H, M, d: corestriction_map(H, M, degree=d),
+    lambda H, M, d: induced_map(GModuleMap(M, M, IntMatrix.identity(M.rank)), degree=d),
+], ids=["restriction", "corestriction", "induced"])
+def test_maps_refuse_other_degrees(build, degree):
+    G = cyclic_group(4)
+    H = Subgroup(G, [0, 2])
+    M = index_two_sign_module(G, H)
+    with pytest.raises(ValueError, match="only degrees 0 and 1 are supported"):
+        build(H, M, degree)
 
 
 def test_induced_map_requires_full_equivariance():

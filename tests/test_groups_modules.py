@@ -100,6 +100,27 @@ def test_quaternion_group_structure():
     FiniteGroup(Q8.table)
 
 
+def test_quaternion_table_is_the_hamilton_product():
+    # element 2 b + s is (-1)^s times unit b of (1, i, j, k), as a 4-tuple
+    def quaternion(x):
+        q = [0, 0, 0, 0]
+        q[x // 2] = -1 if x % 2 else 1
+        return tuple(q)
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    Q8 = quaternion_group()
+    for x in Q8.elements():
+        for y in Q8.elements():
+            assert quaternion(Q8.mul(x, y)) == hamilton(quaternion(x), quaternion(y))
+
+
 def test_direct_product():
     G = direct_product(C2, C4)
     assert G.order == 8
