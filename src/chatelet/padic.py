@@ -114,6 +114,15 @@ def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
 
     The monomial t^a * m_i of the extension has index a * n + i, where m_i
     runs over the n monomials of par.
+
+    With t^s = sum_l P[s][l] t^l over par and the parent's table (T', D'),
+    m_i m_j t^s is (sum_k T'[i][j][k] m_k t^s) / D', so every entry is an
+    integer combination of the rows R[k][s] = m_k t^s = sum_l m_k P[s][l] t^l.
+    For s < d that row is the monomial t^s m_k itself; only s >= d takes
+    parent products, n d (d - 1) of them.  Over the common denominator dR of
+    those rows every entry is an integer vector over dR D', and dividing out
+    the gcd of all of them with dR D' leaves the least D: the lcm of the
+    reduced denominators of all the table's coordinates.
     """
     d = len(coeffs)
     n = len(par._monomials)
@@ -124,22 +133,35 @@ def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
         prev = powers[-1]
         powers.append([(prev[l - 1] if l else zero) - prev[-1] * c
                        for l, c in enumerate(coeffs)])
-    basis = [par._monomial(i) for i in range(n)]
-    # m_i m_j t^s for s up to 2d - 2, each product formed once; an element's
-    # den is the lcm of its reduced coordinate denominators, as
-    # gcd(*nums, den) = 1, so the lcm of the dens below is the table's D
-    shifted = [[[[mij * r for r in powers[s]] for s in range(2 * d - 1)]
-                for mij in (bi * bj for bj in basis)] for bi in basis]
-    den = lcm(*(x.den for per_i in shifted for per_j in per_i
-                for per_s in per_j for x in per_s))
+    # m_k P[s][l] for s >= d, the only parent products the table takes
+    products = [[[zero if c.is_zero() else par._monomial(k) * c for c in powers[s]]
+                 for s in range(d, 2 * d - 1)] for k in range(n)]
+    den_r = lcm(*(x.den for per_k in products for per_s in per_k for x in per_s))
+    # R[k][s] as sparse (index, numerator over den_r) pairs, ascending
+    shifted = [[((s * n + k, den_r),) for s in range(d)]
+               + [tuple((l * n + i, c * (den_r // x.den)) for l, x in enumerate(per_s)
+                        for i, c in enumerate(x.nums) if c) for per_s in per_k]
+               for k, per_k in enumerate(products)]
 
-    def entry(elems):
-        nums = [c * (den // x.den) for x in elems for c in x.nums]
-        return tuple((k, v) for k, v in enumerate(nums) if v)
+    def entry(terms, s):
+        if len(terms) == 1:
+            k, t = terms[0]
+            return tuple((idx, t * v) for idx, v in shifted[k][s])
+        acc: dict = {}
+        for k, t in terms:
+            for idx, v in shifted[k][s]:
+                acc[idx] = acc.get(idx, 0) + t * v
+        return tuple((idx, v) for idx, v in sorted(acc.items()) if v)
 
-    table = tuple(tuple(entry(shifted[i][j][a + b]) for b in range(d) for j in range(n))
-                  for a in range(d) for i in range(n))
-    return table, den
+    par_table = par._table
+    table = [[entry(par_table[i][j], a + b) for b in range(d) for j in range(n)]
+             for a in range(d) for i in range(n)]
+    den = den_r * par._table_den
+    g = gcd(den, *(v for row in table for ent in row for _, v in ent))
+    if g != 1:
+        den //= g
+        table = [[tuple((idx, v // g) for idx, v in ent) for ent in row] for row in table]
+    return tuple(tuple(row) for row in table), den
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,7 @@ class LocalField:
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
                  "_monomials", "_weights", "_table", "_table_den", "_unram",
                  "_res_table", "_square_cache", "_class_cache", "_inv_cache",
-                 "_pi_powers", "_hash", "_name")
+                 "_pi_powers", "_inv_eps_sq", "_hash", "_name")
 
     def __init__(self, p: int, steps: tuple):
         self.p = p
@@ -246,6 +268,7 @@ class LocalField:
         self._class_cache = None
         self._inv_cache: dict = {}
         self._pi_powers: tuple | None = None
+        self._inv_eps_sq: tuple | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -394,6 +417,14 @@ class LocalField:
             self._pi_powers = tuple(reversed(down)) + tuple(up[1:])
         return self._pi_powers[e2 + k]
 
+    def _inverse_eps_squared(self) -> tuple:
+        """1 / eps^2 in the residue field of a 2-adic field, eps the residue
+        of 2 / pi^e, as eps^(q - 1) = 1; computed on first use."""
+        if self._inv_eps_sq is None:
+            eps = self._to_residue(2 * self._pi_power(-self.ramification_index))
+            self._inv_eps_sq = self._res_pow(eps, 2 * (self.p ** self.residue_degree - 2))
+        return self._inv_eps_sq
+
     def uniformizer(self) -> "PadicElement":
         for i in range(len(self.steps) - 1, -1, -1):
             if self.steps[i].kind == "eisenstein":
@@ -452,6 +483,10 @@ class PadicElement:
         return self.field.rational(other)
 
     def __add__(self, other):
+        if type(other) is int:
+            # n is n * den over den, on the constant monomial alone
+            return PadicElement(self.field, (self.nums[0] + other * self.den,) + self.nums[1:],
+                                self.den)
         o = self._coerce(other)
         return PadicElement(self.field,
                             [a * o.den + b * self.den for a, b in zip(self.nums, o.nums)],
@@ -463,10 +498,10 @@ class PadicElement:
         return PadicElement(self.field, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other if type(other) is int else -self._coerce(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -620,24 +655,43 @@ def _class_vector(x: PadicElement) -> int:
     is a square or one of pi, 1 + m_i pi^k, so the bits are the coordinates
     of x over those elements and a unit of defect 2e, and the map is a
     homomorphism onto F_2^(d + 2).
+
+    The work reuses what is fixed per field.  For |v| <= 2e, pi^(-v) comes
+    from the field's table of pi powers, so no power of pi is inverted.  The
+    trace is c + c^2 + ... + c^(2^(f - 1)) for c = a / eps^2, read through
+    f - 1 successive squarings, and 1 / eps^2 is computed once per field.
+    With f = 1 the residue field is F_2 or F_p: for p = 2 every unit has
+    residue 1, so the first correction, the square root b = a and eps are
+    all 1 and are not computed; for odd p, Euler's criterion is one modular
+    power of the residue integer.
     """
     field = x.field
     key = (x.nums, x.den)
     cached = field._square_cache.get(key)
     if cached is not None:
         return cached
+    p, e, f = field.p, field.ramification_index, field.residue_degree
+    q = p ** f
     v = x.valuation()
-    pi = field.uniformizer()
-    u = x / pi ** v if v else x
-    q = field.p ** field.residue_degree
-    r = field._to_residue(u)
-    vec = v % 2
-    if field.p != 2:
-        vec |= (field._res_pow(r, (q - 1) // 2) != field._res_one()) << 1
+    if not v:
+        u = x
+    elif abs(v) <= 2 * e:
+        u = x * field._pi_power(-v)
     else:
-        e, f = field.ramification_index, field.residue_degree
-        s = field._lift_residue(field._res_pow(r, q // 2 - 1))  # s^2 = 1 / r
-        u = u * s * s
+        u = x / field.uniformizer() ** v
+    vec = v % 2
+    if p != 2:
+        r = field._to_residue(u)
+        if f == 1:
+            nonsquare = pow(r[0], (p - 1) // 2, p) != 1
+        else:
+            nonsquare = field._res_pow(r, (q - 1) // 2) != field._res_one()
+        vec |= nonsquare << 1
+    else:
+        if f > 1:
+            # s^2 is the inverse of the residue of u
+            s = field._lift_residue(field._res_pow(field._to_residue(u), q // 2 - 1))
+            u = u * s * s
         w = u - 1
         k = w.valuation()
         while k < 2 * e:
@@ -648,17 +702,20 @@ def _class_vector(x: PadicElement) -> int:
                         vec |= 1 << (1 + f * (k // 2) + i)
                         u = u * (1 + field._monomial(field._unram[i]) * field._pi_power(k))
             else:
-                y = 1 + field._lift_residue(field._res_pow(a, q // 2)) * field._pi_power(k // 2)
+                b = field._res_pow(a, q // 2) if f > 1 else a
+                y = 1 + field._lift_residue(b) * field._pi_power(k // 2)
                 u = u * y * y
             w = u - 1
             k = w.valuation()
         if k == 2 * e:
-            eps = field._to_residue(2 * field._pi_power(-e))
-            # c = a / eps^2, as eps^(q - 1) = 1
-            c = field._res_mul(field._to_residue(w * field._pi_power(-k)),
-                               field._res_pow(eps, 2 * (q - 2)))
-            trace = sum(field._res_pow(c, 2 ** j)[0] for j in range(f)) % 2
-            vec |= trace << (field.degree + 1)
+            c = field._to_residue(w * field._pi_power(-k))
+            if f > 1:
+                c = field._res_mul(c, field._inverse_eps_squared())
+            trace = c[0]
+            for _ in range(f - 1):
+                c = field._res_mul(c, c)
+                trace += c[0]
+            vec |= (trace % 2) << (field.degree + 1)
     return _remember(field._square_cache, key, vec)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import inf, isqrt
 
 import pytest
@@ -468,6 +469,17 @@ def test_ring_axioms(field, data):
 
 @towers
 @examples
+@given(data=st.data(), n=st.integers(-40, 40))
+def test_integer_operands_match_field_integers(field, data, n):
+    # an int operand is added on the constant monomial without an element
+    [x] = _elements(data, field, 1)
+    m = field.integer(n)
+    for got, want in [(x + n, x + m), (n + x, m + x), (x - n, x - m), (n - x, m - x)]:
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
+@towers
+@examples
 @given(data=st.data())
 def test_inverse_with_denominators(field, data):
     [x] = _elements(data, field, 1)
@@ -645,6 +657,53 @@ def test_square_class_matches_search(name):
         assert square_class(field, x) == tuple(mask >> i & 1 for i in range(len(basis)))
 
 
+@pytest.mark.parametrize("name", [name for name, field in SEARCH_TOWERS.items()
+                                  if field.residue_degree > 1])
+def test_trace_and_square_root_levels_match_search(name):
+    # 1 + a pi^k for every nonzero residue a: at k = 2e the verdict is the
+    # trace bit, at even k < 2e the unit goes through the residue square root
+    field = SEARCH_TOWERS[name]
+    e2 = 2 * field.ramification_index
+    pi = field.uniformizer()
+    residues = [r for r in product(range(2), repeat=field.residue_degree) if any(r)]
+    for k in list(range(0, e2, 2)) + [e2]:
+        verdicts = set()
+        for r in residues:
+            x = 1 + field._lift_residue(r) * pi ** k
+            expected = is_square_by_search(x)
+            assert is_square(x) == expected, (k, r)
+            verdicts.add(expected)
+        if k == e2:
+            # Tr(a / eps^2) takes both values on the nonzero residues
+            assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", [DEG6, DEG8, LocalField.qp(3).extend_eisenstein([-3, 0])],
+                         ids=["DEG6", "DEG8", "Q3(sqrt3)"])
+def test_square_class_of_uniformizer_powers_times_units(field):
+    # |v| <= 2e strips pi^v through the field's table of pi powers, larger
+    # |v| through an inverted power of pi; both give x = pi^v u its classes
+    pi = field.uniformizer()
+    e2 = 2 * field.ramification_index
+    units = [field.integer(-1), 1 + pi, field.integer(3) + pi * 2, 1 + pi ** 3 * field.gen(0)]
+    pi_class = square_class(field, pi)
+    for v in range(-(e2 + 3), e2 + 4):
+        power = square_class(field, pi ** v)
+        assert power == tuple(c * (v % 2) for c in pi_class)
+        for u in units:
+            assert square_class(field, pi ** v * u) == tuple(
+                a ^ b for a, b in zip(power, square_class(field, u)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_units_of_odd_p_are_squares_exactly_mod_p(p):
+    residue_squares = {x * x % p for x in range(1, p)}
+    for field in (LocalField.qp(p), LocalField.qp(p).extend_eisenstein([-p, 0])):
+        for a in range(-p * p, p * p):
+            if a % p:
+                assert is_square(field.integer(a)) == (a % p in residue_squares), (field, a)
+
+
 @pytest.mark.parametrize("name", list(SEARCH_TOWERS) + ["Q3 unram", "Q5(sqrt5)"])
 def test_basis_classes_are_unit_vectors(name):
     field = SEARCH_TOWERS.get(name) or PINNED_FIELDS[name]
@@ -711,7 +770,21 @@ def test_p_is_bounded():
 # -- structure-constant tables against the Fraction oracle ---------------------------
 
 _Q3_UNRAM = LocalField.qp(3).extend_unramified([1, 0])
-# the towers this module builds, besides PINNED_FIELDS and SEARCH_TOWERS
+# t1^2 = 2/7, then t2^2 = (t1 + 1)/7: 7 divides every entry of the second
+# step's table over 7^3, so its least denominator is 7^2
+_Q3_SEVENTHS = LocalField.qp(3).extend_unramified([Fraction(-2, 7), 0])
+
+
+def _q3_eisenstein_tower(steps):
+    """Q_3(3^(1 / 2^steps)): t1^2 = 3, then t_(i+1)^2 = t_i."""
+    field = LocalField.qp(3).extend_eisenstein([-3, 0])
+    for i in range(1, steps):
+        field = field.extend_eisenstein([-field.gen(i - 1), 0])
+    return field
+
+
+# the towers this module builds, besides PINNED_FIELDS and SEARCH_TOWERS; the
+# three Q3 eis towers reach degrees 16 and 32, past every other tower here
 TABLE_TOWERS = {
     "Q5 unram": LocalField.qp(5).extend_unramified([-2, 0]),
     "Q5 unram cubic": LocalField.qp(5).extend_unramified([2, -1, 0]),
@@ -721,6 +794,10 @@ TABLE_TOWERS = {
     "Q2 unram eis": _F4.extend_eisenstein([-2, 0]),
     "Q7(sqrt7)": LocalField.qp(7).extend_eisenstein([-7, 0]),
     "Q7(sqrt14)": LocalField.qp(7).extend_eisenstein([-14, 0]),
+    "Q3 eis 16": _q3_eisenstein_tower(4),
+    "Q3 eis 32": _q3_eisenstein_tower(5),
+    "Q3 eis 8 unram": _q3_eisenstein_tower(3).extend_unramified([1, 0]),
+    "Q3 unram sevenths": _Q3_SEVENTHS.extend_unramified([-(_Q3_SEVENTHS.gen(0) + 1) / 7, 0]),
     **PINNED_FIELDS,
     **SEARCH_TOWERS,
 }
