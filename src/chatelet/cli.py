@@ -83,6 +83,13 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|(t\d+)|([+\-*/^()×])|(\S))")
 # is computed when |n| times the bit length of its base exceeds it
 MAX_ELEMENT_BITS = 10_000
 
+# largest order of a group given by its multiplication table.  H^1 of the
+# regular module costs about the cube of the order: over the XOR tables of
+# order 128 and 256, a document with that job and an index-two subgroup
+# took 3.6 s and 22.7 s, and one without it 1.9 s and 10.2 s, on a shared
+# 2-core machine
+MAX_TABLE_ORDER = 128
+
 # deepest nesting of parentheses and unary signs an expression may have;
 # the parser recurses at most four frames per level, so this stays far
 # below the interpreter's recursion limit
@@ -314,7 +321,7 @@ def _as_matrix(value, path, errors, square=False):
     return IntMatrix(out, ncols=width)
 
 
-def _build_group(spec, path, errors):
+def _check_group(spec, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None:
         return None
@@ -337,6 +344,9 @@ def _build_group(spec, path, errors):
     rows = _as_array(table, f"{path}.table", errors, min_len=1)
     if rows is None:
         return None
+    if len(rows) > MAX_TABLE_ORDER:
+        _err(errors, f"{path}.table", f"group order must be at most {MAX_TABLE_ORDER}")
+        return None
     try:
         return FiniteGroup(rows)
     except (ValueError, TypeError) as exc:
@@ -344,7 +354,7 @@ def _build_group(spec, path, errors):
         return None
 
 
-def _build_module(spec, group, path, errors):
+def _check_module(spec, group, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None or group is None:
         return None
@@ -403,25 +413,59 @@ def _build_action(obj, group, rank, path, errors):
     return matrices
 
 
-# fields already built, keyed by the JSON text of their spec; a spec that
-# fails is never stored, so it runs every check and reports the same errors
-# each time
+# fields, groups, modules and subgroups already built, keyed by the JSON
+# text of their spec; a module or subgroup key also holds its group.  A spec
+# that fails is never stored, so it runs every check and reports the same
+# errors each time
 _FIELDS: dict = {}
+_GROUPS: dict = {}
+_MODULES: dict = {}
+_SUBGROUPS: dict = {}
+
+
+def _spec_key(spec):
+    """The JSON text of a spec, or None for a spec that cannot be written as
+    JSON text, or only from a shallower stack: that one is built without
+    the lookup."""
+    try:
+        return json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError, RecursionError):
+        return None
+
+
+def _resolve(cache, key, build):
+    """The value stored under key, or build() when there is none; a value
+    that built is stored, unless the key is None."""
+    value = None if key is None else cache.get(key)
+    if value is None:
+        value = build()
+        if value is not None and key is not None:
+            _remember(cache, key, value)
+    return value
 
 
 def _build_field(spec, path, errors):
-    # a spec that cannot be written as JSON text, or only from a shallower
-    # stack, is built without the lookup
-    try:
-        key = json.dumps(spec, sort_keys=True)
-    except (TypeError, ValueError, RecursionError):
-        key = None
-    field = _FIELDS.get(key)
-    if field is None:
-        field = _check_field(spec, path, errors)
-        if field is not None and key is not None:
-            _remember(_FIELDS, key, field)
-    return field
+    return _resolve(_FIELDS, _spec_key(spec), lambda: _check_field(spec, path, errors))
+
+
+def _build_group(spec, path, errors):
+    return _resolve(_GROUPS, _spec_key(spec), lambda: _check_group(spec, path, errors))
+
+
+def _build_over(cache, check, spec, group, path, errors):
+    """A module or subgroup over a group, resolved under (group, spec text);
+    without a group it is only checked, for the errors it reports."""
+    key = _spec_key(spec)
+    return _resolve(cache, None if group is None or key is None else (group, key),
+                    lambda: check(spec, group, path, errors))
+
+
+def _build_module(spec, group, path, errors):
+    return _build_over(_MODULES, _check_module, spec, group, path, errors)
+
+
+def _build_subgroup(spec, group, path, errors):
+    return _build_over(_SUBGROUPS, _check_subgroup, spec, group, path, errors)
 
 
 def _check_field(spec, path, errors):
@@ -465,7 +509,7 @@ def _check_field(spec, path, errors):
     return field
 
 
-def _build_subgroup(spec, group, path, errors):
+def _check_subgroup(spec, group, path, errors):
     arr = _as_array(spec, path, errors, min_len=1)
     if arr is None or group is None:
         return None

@@ -2,13 +2,17 @@
 
 H^1 is computed from cocycles parametrized by their values on a generating
 set (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6):
-the cocycle identity is propagated along a breadth-first traversal of the
-Cayley graph, and each edge that closes a cycle becomes a block of integer
-linear conditions modulo the relation lattice.  The cocycle lattice is
-solved block by block with integer echelon forms (`solution_lattice`),
-which skips a block that every current cocycle already satisfies.  The
-quotient by coboundaries is a lattice subquotient, whose invariants come
-from one Smith form.
+values on the generators extend to a cocycle exactly when every relator of
+a presentation of G maps to zero, and the relator's Fox derivatives, read
+through the action, make that one block of integer linear conditions
+modulo the relation lattice.  The presentation comes from
+`FiniteGroup.relators`, verified by a coset enumeration, so H^1 costs one
+block per relator: 28 for (Z/2)^7, where the edges that close a cycle in a
+breadth-first walk of the Cayley graph would give |G|(|gens| - 1) + 1 = 769.
+The cocycle lattice is solved block by block with integer echelon forms
+(`solution_lattice`), which skips a block that every current cocycle
+already satisfies.  The quotient by coboundaries is a lattice subquotient,
+whose invariants come from one Smith form.
 
 A CohomologyGroup hands out honest cocycles (one module element per group
 element) for its generators and converts arbitrary cocycles back to
@@ -20,12 +24,11 @@ degree and reads the image's coordinates in the target.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
-from operator import mul
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, breadth_first_edges
 from .intmat import (
     IntMatrix,
     LatticeSubquotient,
@@ -177,7 +180,8 @@ def h0(G: FiniteGroup, M: GModule) -> CohomologyGroup:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
-    """First cohomology via generator-parametrized cocycles."""
+    """First cohomology via generator-parametrized cocycles, constrained by
+    the relators of a presentation of G."""
     if M.group != G:
         raise ValueError("module is not over the given group")
     r = M.rank
@@ -185,33 +189,32 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
     ns = len(gens)
     u_dim = ns * r
 
-    # expressions c(g) = E_g . u, E_g as r rows of length u_dim, where u
-    # stacks the values on gens; c(g s_t) = c(g) + g . c(s_t) adds the
-    # action of g into column block t.  An edge to an element already
-    # reached closes a cycle, and its difference E_g + g e_t - E_gs must
-    # send u into the relation lattice.  A group with no generators has
-    # u_dim = 0: the walk stops at the identity, and the subquotient below
-    # is empty with the zero cocycle as its only element.
-    exprs: dict[int, list[list[int]]] = {G.identity: [[0] * u_dim for _ in range(r)]}
+    # u stacks the values c(s_t) on the generators, and a cocycle extends
+    # to every word: c(w s_t) = c(w) + w . c(s_t) and
+    # c(w s_t^-1) = c(w) - (w s_t^-1) . c(s_t).  So c(R) = D_R . u, where
+    # column block t of D_R is the Fox derivative dR/ds_t read through the
+    # action: + act(prefix) at each s_t, - act(prefix s_t^-1) at each
+    # s_t^-1.  u extends to a cocycle on G exactly when every relator
+    # sends it into the relation lattice.  A group with no generators has
+    # no relators and u_dim = 0: the subquotient below is empty with the
+    # zero cocycle as its only element.
+    inverses = [G.inv(s) for s in gens]
     constraints: list[IntMatrix] = []
-    queue = deque([G.identity])
-    while queue:
-        g = queue.popleft()
-        E = exprs[g]
-        act_rows = M.act(g).rows
-        for t, s in enumerate(gens):
-            gs = G.mul(g, s)
+    for word in G.relators():
+        block = [[0] * u_dim for _ in range(r)]
+        g = G.identity
+        for a in word:
+            t = abs(a) - 1
+            if a < 0:
+                g = G.mul(g, inverses[t])
             lo, hi = t * r, (t + 1) * r
-            expr = [row[:lo] + [a + b for a, b in zip(row[lo:hi], act_row)] + row[hi:]
-                    for row, act_row in zip(E, act_rows)]
-            known = exprs.get(gs)
-            if known is None:
-                exprs[gs] = expr
-                queue.append(gs)
-            else:
-                diff = [[a - b for a, b in zip(x, y)] for x, y in zip(expr, known)]
-                if any(map(any, diff)):
-                    constraints.append(IntMatrix._wrap(diff, u_dim))
+            combine = add if a > 0 else sub
+            for row, act_row in zip(block, M.act(g).rows):
+                row[lo:hi] = map(combine, row[lo:hi], act_row)
+            if a > 0:
+                g = G.mul(g, gens[t])
+        if any(map(any, block)):
+            constraints.append(IntMatrix._wrap(block, u_dim))
 
     z1 = solution_lattice(u_dim, constraints, M.relations)
 
@@ -228,8 +231,13 @@ def h1(G: FiniteGroup, M: GModule) -> CohomologyGroup:
         return tuple(x for s in gens for x in cocycle[s])
 
     def from_ambient(u: Sequence[int]) -> dict[int, Vector]:
-        return {g: tuple(sum(map(mul, row, u)) for row in exprs[g])
-                for g in G.elements()}
+        # c(g s_t) = c(g) + g . c(s_t) along the breadth-first tree
+        values = {G.identity: (0,) * r}
+        for g, t, gs, first in breadth_first_edges(G):
+            if first:
+                step = M.act(g).apply(u[t * r:(t + 1) * r])
+                values[gs] = tuple(map(add, values[g], step))
+        return {g: values[g] for g in G.elements()}
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
 

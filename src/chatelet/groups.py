@@ -5,10 +5,18 @@ built by the constructors here.  A Subgroup carries its own re-indexed
 FiniteGroup together with maps in and out of the parent, plus the left coset
 bookkeeping (representatives and transfer factors) that corestriction and
 induction are built from.
+
+Each group also finds, once, a short presentation on its generating set
+(`FiniteGroup.relators`), verified by a Todd-Coxeter enumeration of the
+cosets of the trivial subgroup (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 5): the relators hold in G, so the group
+they present maps onto G, and it is G exactly when the enumeration closes
+at |G| cosets.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -16,13 +24,14 @@ from typing import Iterable, Sequence
 class FiniteGroup:
     """A finite group presented by its full multiplication table."""
 
-    __slots__ = ("table", "identity", "name", "_inv", "_gens")
+    __slots__ = ("table", "identity", "name", "_inv", "_gens", "_relators")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", check: bool = True):
         n = len(table)
         self.table = tuple(tuple(row) for row in table)
         self.name = name
         self._gens: list[int] | None = None
+        self._relators: tuple[tuple[int, ...], ...] | None = None
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
         if any(x < 0 or x >= n for row in self.table for x in row):
@@ -113,6 +122,17 @@ class FiniteGroup:
             self._gens = gens
         return list(self._gens)
 
+    def relators(self) -> tuple[tuple[int, ...], ...]:
+        """Relators of a presentation of G on `generating_set()`, found once
+        (`_presentation`).
+
+        A word is a tuple of letters: t + 1 stands for generator t and
+        -(t + 1) for its inverse.
+        """
+        if self._relators is None:
+            self._relators = _presentation(self)
+        return self._relators
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
 
@@ -121,6 +141,148 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def _presentation(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """A short presentation of G on its generating set, verified by a coset
+    enumeration of the trivial subgroup that closes at |G| cosets.
+
+    The enumeration is Todd-Coxeter with Felsch's deductions (Holt, Eick
+    and O'Brien, 5.1), its cosets defined along the breadth-first tree of
+    G that `cohomology.h1` also walks: coset g is the tree word w_g, so
+    every coset is already defined, and what is enumerated is which edges
+    g -> g x of the coset table the relators force.  Each relator is
+    scanned at every coset, and again wherever a new edge passes along it;
+    a scan with exactly one unknown edge learns that edge.  Every learned
+    edge holds in the group the relators present, so once every edge is
+    known the |G| tree words are closed under the generators there, and
+    the relators present G itself.
+
+    The candidate relators come first: x^o(x) for each generator x,
+    (x_i x_j)^o for each pair, and (x_i x_j^-1)^o when neither is an
+    involution.  Then, in breadth-first order, each closing edge g -> g s
+    that is still unknown adds its closing word w_g s w_gs^-1, whose scan
+    at the identity learns that edge.  So the enumeration always closes,
+    and no coset limit or fallback is needed.  Words are cyclically
+    reduced and kept once up to rotation and inversion: a conjugate or an
+    inverse of a relator adds nothing to the presentation.
+    """
+    gens = G.generating_set()
+    tab, inv = G.table, G._inv
+    # column 2t is generator t, column 2t + 1 its inverse, so c ^ 1 inverts c
+    elem = [y for x in gens for y in (x, inv[x])]
+    known = [bytearray(len(elem)) for _ in range(G.order)]
+    # for each column, the words through it: (word columns, inverse of the
+    # element its prefix reaches), so an edge at g lies on the word based at
+    # g times that inverse
+    through: list[list[tuple[list[int], int]]] = [[] for _ in elem]
+    queue: list[tuple[int, int]] = []
+    words: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+
+    def learn(g: int, c: int) -> None:
+        if not known[g][c]:
+            h = tab[g][elem[c]]
+            known[g][c] = known[h][c ^ 1] = 1
+            queue.extend(((g, c), (h, c ^ 1)))
+
+    def scan(b: int, w: list[int]) -> None:
+        f, i, j = b, 0, len(w) - 1
+        while i <= j and known[f][w[i]]:
+            f = tab[f][elem[w[i]]]
+            i += 1
+        if i > j:
+            return
+        e = b
+        while j > i and known[e][w[j] ^ 1]:
+            e = tab[e][elem[w[j] ^ 1]]
+            j -= 1
+        if i == j:
+            learn(f, w[i])
+
+    def settle() -> None:
+        while queue:
+            g, c = queue.pop()
+            for w, back in through[c]:
+                scan(tab[g][back], w)
+
+    def add(word) -> None:
+        w = _cyclically_reduced(word)
+        key = _rotation_key(w)
+        if key in seen:
+            return
+        seen.add(key)
+        words.append(w)
+        cols = [2 * a - 2 if a > 0 else -2 * a - 1 for a in w]
+        p = G.identity
+        for c in cols:
+            through[c].append((cols, inv[p]))
+            p = tab[p][elem[c]]
+        for b in G.elements():
+            scan(b, cols)
+        settle()
+
+    tree = {G.identity: ()}
+    closing = []
+    for g, t, gs, first in breadth_first_edges(G):
+        if first:
+            tree[gs] = tree[g] + (t + 1,)
+            learn(g, 2 * t)
+        else:
+            closing.append((g, t, gs))
+    settle()
+
+    orders = [G.element_order(x) for x in gens]
+    for t, o in enumerate(orders):
+        add((t + 1,) * o)
+    for i, x in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            add((i + 1, j + 1) * G.element_order(tab[x][gens[j]]))
+            if orders[i] > 2 and orders[j] > 2:
+                add((i + 1, -(j + 1)) * G.element_order(tab[x][inv[gens[j]]]))
+    for g, t, gs in closing:
+        if not known[g][2 * t]:
+            add(tree[g] + (t + 1,) + tuple(-a for a in reversed(tree[gs])))
+    return tuple(words)
+
+
+def breadth_first_edges(G: FiniteGroup):
+    """Every edge g -> g s of the Cayley graph over `generating_set()`, as
+    (g, t, g s) with s the t-th generator and a flag that is True when the
+    edge reaches g s first, in the order a breadth-first walk from the
+    identity meets them.  The flagged edges form a spanning tree."""
+    gens = G.generating_set()
+    seen = {G.identity}
+    queue = deque([G.identity])
+    while queue:
+        g = queue.popleft()
+        row = G.table[g]
+        for t, s in enumerate(gens):
+            gs = row[s]
+            first = gs not in seen
+            if first:
+                seen.add(gs)
+                queue.append(gs)
+            yield g, t, gs, first
+
+
+def _cyclically_reduced(word) -> tuple[int, ...]:
+    out: list[int] = []
+    for a in word:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def _rotation_key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the word or of its inverse."""
+    inverse = tuple(-a for a in reversed(word))
+    return min(w[k:] + w[:k] for w in (word, inverse) for k in range(len(w)))
 
 
 class Subgroup:

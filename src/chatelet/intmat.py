@@ -18,6 +18,7 @@ elimination (`_bareiss`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -123,12 +124,13 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ocols = other.ncols
+        orows = other.rows
         out = []
         for ri in self.rows:
             acc = [0] * ocols
-            for a, b in zip(ri, other.rows):
-                if a:
-                    acc = [s + a * t for s, t in zip(acc, b)]
+            # the nonzero entries of ri, each with its row of other
+            for a, b in zip(filter(None, ri), compress(orows, ri)):
+                acc = [s + a * t for s, t in zip(acc, b)]
             out.append(acc)
         return IntMatrix._wrap(out, ocols)
 
@@ -571,7 +573,7 @@ class LatticeSubquotient:
     coordinates of every vector (`_coordinates`) and decides membership on
     the way.  A Smith decomposition U X V = S of the denominator's basis
     coordinates X then reads off the invariants, and the columns of U^-1
-    give the generators.
+    give the generators, inverted only when the generators are first read.
 
     Attributes:
         invariants: cyclic decomposition orders, torsion entries first in
@@ -599,14 +601,21 @@ class LatticeSubquotient:
         xdiag = dec_x.diagonal
         full = [xdiag[i] if i < len(xdiag) else 0 for i in range(r)]
         self._ux = dec_x.U
-        ux_inv = unimodular_inverse(dec_x.U)
-        kept = [i for i in range(r) if full[i] != 1]
-        self._kept = kept
-        self.invariants: tuple[int, ...] = tuple(full[i] for i in kept)
-        basis = [(0,) * c + P for c, P in self._basis]
-        self.generators: list[Vector] = [_combination(ux_inv.col(i), basis, ambient_dim)
-                                         for i in kept]
+        self._kept = [i for i in range(r) if full[i] != 1]
+        self.invariants: tuple[int, ...] = tuple(full[i] for i in self._kept)
+        self._generators: list[Vector] | None = None
         self.order: int | None = prod(self.invariants) if all(self.invariants) else None
+
+    @property
+    def generators(self) -> list[Vector]:
+        """Ambient representatives, one per invariant: the columns of U^-1
+        over the numerator basis, built on first use."""
+        if self._generators is None:
+            ux_inv = unimodular_inverse(self._ux)
+            basis = [(0,) * c + P for c, P in self._basis]
+            self._generators = [_combination(ux_inv.col(i), basis, self.ambient_dim)
+                                for i in self._kept]
+        return self._generators
 
     def contains(self, v: Sequence[int]) -> bool:
         """Membership of an ambient vector in the numerator lattice."""

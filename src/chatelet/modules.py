@@ -31,10 +31,11 @@ from .intmat import (
 
 # entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
 # descent-verdict cache (one key per extension degree), by the padic field
-# cache and each field's square and inverse caches, and by the CLI's field
-# spec cache (`_FIELDS`) and element expression cache (`_evaluate`).  A
-# benchmark pass asks them for at most 45, 86, 140, 3, 67, 24, 2, 70 and 172
-# distinct keys, so none is evicted
+# cache and each field's square and inverse caches, by the CLI's field spec
+# cache (`_FIELDS`) and element expression cache (`_evaluate`), and by its
+# group, module and subgroup spec caches.  A benchmark pass asks them for at
+# most 45, 86, 140, 3, 67, 24, 2, 70, 172, 21, 153 and 54 distinct keys, so
+# none is evicted
 CACHE_SIZE = 256
 
 

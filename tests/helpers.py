@@ -6,9 +6,14 @@ twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
-the general cocycle machinery against, `h1_reference` solves the same
-closing-edge system as the library's `h1` with whole-matrix arithmetic and
-Smith kernels, `solution_lattice_by_smith` is the
+the general cocycle machinery against, `h1_reference` is the closing-edge
+oracle: it constrains cocycles by one block per edge of the breadth-first
+walk that closes a cycle, |G|(|gens| - 1) + 1 blocks, where the library's
+`h1` takes one Fox-calculus block per relator of a presentation, and it
+solves them with whole-matrix arithmetic and Smith kernels,
+`coset_count_hlt` is an HLT coset enumeration that checks the library's
+presentations close, `word_value` evaluates a relator word in its group,
+`solution_lattice_by_smith` is the
 Smith-kernel lattice solve that the library's echelon version is compared
 against, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
@@ -241,6 +246,118 @@ def h1_reference(G: FiniteGroup, M: GModule) -> CohomologyGroup:
         return {g: exprs[g].apply(u) for g in G.elements()}
 
     return CohomologyGroup(1, G, M, subq, to_ambient, from_ambient)
+
+
+# -- presentations -------------------------------------------------------------------
+
+
+def word_value(G: FiniteGroup, word) -> int:
+    """The element of G a word spells: letter t + 1 is generator t of
+    `G.generating_set()`, -(t + 1) its inverse."""
+    gens = G.generating_set()
+    g = G.identity
+    for a in word:
+        g = G.mul(g, gens[a - 1] if a > 0 else G.inv(gens[-a - 1]))
+    return g
+
+
+class _Overflow(Exception):
+    pass
+
+
+def coset_count_hlt(ngens: int, relators, limit=None):
+    """Cosets of the trivial subgroup in <x_1 .. x_ngens | relators> by an
+    HLT enumeration with coincidences (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 5.1), or None once more than `limit`
+    cosets have been defined.  Without a limit it only returns when the
+    presented group is finite.  Unlike the library, which enumerates along
+    a group's own Cayley graph, this knows nothing of the group."""
+    ncol = 2 * ngens
+    rels = [[2 * a - 2 if a > 0 else -2 * a - 1 for a in w] for w in relators]
+    table = [[-1] * ncol]
+    parent = [0]
+
+    def define(c, x):
+        n = len(table)
+        if limit is not None and n >= limit:
+            raise _Overflow
+        table.append([-1] * ncol)
+        parent.append(n)
+        table[c][x] = n
+        table[n][x ^ 1] = c
+
+    def rep(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        for e in queue:
+            for x in range(ncol):
+                f = table[e][x]
+                if f < 0:
+                    continue
+                table[f][x ^ 1] = -1
+                e1, f1 = rep(e), rep(f)
+                if table[e1][x] >= 0:
+                    merge(f1, table[e1][x], queue)
+                elif table[f1][x ^ 1] >= 0:
+                    merge(e1, table[f1][x ^ 1], queue)
+                else:
+                    table[e1][x] = f1
+                    table[f1][x ^ 1] = e1
+
+    def scan_and_fill(a, w):
+        f = b = a
+        i, j = 0, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] >= 0:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] >= 0:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    try:
+        a = 0
+        while a < len(table):
+            if parent[a] == a:
+                for w in rels:
+                    scan_and_fill(a, w)
+                    if parent[a] != a:
+                        break
+                else:
+                    for x in range(ncol):
+                        if table[a][x] < 0:
+                            define(a, x)
+            a += 1
+    except _Overflow:
+        return None
+    return sum(1 for c, p in enumerate(parent) if c == p)
 
 
 # -- Smith-kernel solution lattice -------------------------------------------------

@@ -462,6 +462,51 @@ def test_an_absent_step_list_is_the_empty_one():
     assert errors == []
 
 
+def test_group_module_and_subgroup_caches_are_bounded():
+    errors = []
+    group = cli._build_group({"kind": "cyclic", "n": 64}, "group", errors)
+    for k in range(CACHE_SIZE + 12):
+        assert cli._build_group({"kind": "cyclic", "n": 4, "note": k}, "group", errors)
+        assert cli._build_module({"kind": "trivial", "note": k}, group, "module", errors)
+        assert cli._build_subgroup([0] * (k + 1) + [32], group, "subgroup", errors)
+    assert errors == []
+    for cache in (cli._GROUPS, cli._MODULES, cli._SUBGROUPS):
+        assert len(cache) <= CACHE_SIZE
+
+
+def test_a_repeated_spec_is_resolved_once_whatever_its_key_order():
+    errors = []
+    group = cli._build_group({"kind": "dihedral", "n": 4}, "group", errors)
+    assert cli._build_group({"n": 4, "kind": "dihedral"}, "group", errors) is group
+    module = cli._build_module({"kind": "trivial", "rank": 2, "relations": [[2, 0], [0, 4]]},
+                               group, "module", errors)
+    assert cli._build_module({"relations": [[2, 0], [0, 4]], "rank": 2, "kind": "trivial"},
+                             group, "module", errors) is module
+    sub = cli._build_subgroup([0, 4], group, "subgroup", errors)
+    assert cli._build_subgroup([0, 4], group, "subgroup", errors) is sub
+    assert errors == []
+    # the same spec over another group is another module and subgroup
+    other = cli._build_group({"kind": "cyclic", "n": 8}, "group", errors)
+    assert cli._build_module({"kind": "trivial", "rank": 2, "relations": [[2, 0], [0, 4]]},
+                             other, "module", errors).group is other
+    assert cli._build_subgroup([0, 4], other, "subgroup", errors).parent is other
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 65}, "module": {"kind": "trivial"}},
+     "group.n: must be at most 64"),
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 4}, "module": {"kind": "picard"}},
+     "module: the picard module lives over the two-element group"),
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 4}, "module": {"kind": "regular"},
+      "subgroup": [0, 1]},
+     "subgroup: subgroup not closed under inverse"),
+])
+def test_a_repeated_bad_group_module_or_subgroup_is_reported_at_each_path(job, message):
+    results, errors = run(doc(job, {"type": "snf", "matrix": [[1]]}, job))
+    assert results is None
+    assert errors == [f"jobs[{i}].{message}" for i in (0, 2)]
+
+
 def test_a_spec_too_deep_to_write_as_text_is_still_built():
     # no JSON reader returns a list this deep, but run takes Python objects
     deep = []
@@ -564,6 +609,21 @@ def test_square_class_over_a_mersenne_prime_is_quick(capsys):
     assert result["generators"] == [str(2 ** 61 - 1), "-1"]
     assert ([e["class"] for e in result["elements"]]
             == [[0, 1], [0, 0], [0, 1], [1, 0], [0, 1]])
+
+
+def test_regular_h1_at_the_table_order_bound_finishes(capsys):
+    # the order-128 XOR table, (Z/2)^7; the closing-edge system took 25.7 s
+    start = time.perf_counter()
+    assert main([str(DOCS / "regular_h1_order_128.json")]) == 0
+    assert time.perf_counter() - start < 10.0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["invariants"] == [] and result["order"] == 1
+
+
+def test_a_table_past_the_order_bound_exits_2(capsys):
+    assert main([str(DOCS / "table_order_129.json")]) == 2
+    assert capsys.readouterr().err == ("jobs[0].group.table: group order must be "
+                                       f"at most {cli.MAX_TABLE_ORDER}\n")
 
 
 def test_prime_past_the_bound_exits_2(capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatelet.cohomology import h1, is_cocycle
 from chatelet.groups import (
@@ -37,11 +39,13 @@ from chatelet.modules import (
 )
 
 from helpers import (
+    coset_count_hlt,
     is_cocycle_all_pairs,
     module_axioms_all_pairs,
     module_library,
     permutation_action_all_pairs,
     random_cocycle,
+    word_value,
 )
 
 C2 = cyclic_group(2)
@@ -198,6 +202,63 @@ def test_all_subgroups():
     assert sorted(s.order for s in s3) == [1, 2, 2, 2, 3, 6]
     assert trivial_subgroup(C4).order == 1
     assert full_subgroup(C4).index == 1
+
+
+# -- presentations -----------------------------------------------------------
+
+
+# every subgroup of S4, of D_n for n <= 8 and of Q8, each re-indexed as a
+# group of its own, and a few direct products
+PRESENTED = (
+    [H.group for G in (symmetric_group(4), quaternion_group(),
+                       *(dihedral_group(n) for n in range(1, 9)))
+     for H in all_subgroups(G)]
+    + [direct_product(quaternion_group(), cyclic_group(3)),
+       direct_product(symmetric_group(3), cyclic_group(4)),
+       direct_product(dihedral_group(4), quaternion_group()),
+       direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2)))]
+)
+
+
+def _check_presentation(G):
+    relators = G.relators()
+    assert relators is G.relators()
+    assert all(word_value(G, w) == G.identity for w in relators)
+    # the limit only stops an enumeration of a presentation that is not
+    # finite; these close within 50 |G| cosets
+    assert coset_count_hlt(len(G.generating_set()), relators, 1000 * G.order) == G.order
+
+
+def test_relators_present_every_listed_group():
+    for G in PRESENTED:
+        _check_presentation(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_relators_present_relabelled_groups(data):
+    """The same groups under a random numbering of their elements, which
+    changes the generating set and so the candidates and closing words."""
+    G = data.draw(st.sampled_from(PRESENTED))
+    label = data.draw(st.permutations(range(G.order)))
+    table = [[0] * G.order for _ in G.elements()]
+    for x in G.elements():
+        for y in G.elements():
+            table[label[x]][label[y]] = label[G.mul(x, y)]
+    _check_presentation(FiniteGroup(table, check=False))
+
+
+def test_generator_powers_alone_do_not_present_q8():
+    Q8 = quaternion_group()
+    gens = Q8.generating_set()
+    powers = [(t + 1,) * Q8.element_order(x) for t, x in enumerate(gens)]
+    assert coset_count_hlt(len(gens), powers, limit=64 * Q8.order) is None
+    assert len(Q8.relators()) > len(powers)
+
+
+def test_a_group_without_generators_has_no_relators():
+    assert cyclic_group(1).relators() == ()
+    assert trivial_subgroup(symmetric_group(3)).group.relators() == ()
 
 
 # -- modules -----------------------------------------------------------------
