@@ -34,7 +34,7 @@ from .intmat import (
 # cache and each field's square and inverse caches, by the CLI's field spec
 # cache (`_FIELDS`) and element expression cache (`_evaluate`), and by its
 # group, module and subgroup spec caches.  A benchmark pass asks them for at
-# most 45, 86, 140, 3, 67, 24, 2, 70, 172, 21, 153 and 54 distinct keys, so
+# most 45, 86, 140, 3, 67, 21, 2, 70, 172, 21, 153 and 54 distinct keys, so
 # none is evicted
 CACHE_SIZE = 256
 
@@ -110,7 +110,7 @@ class GModule:
     """A module over a finite group, in generator/relation/action-matrix form."""
 
     __slots__ = ("group", "rank", "relations", "action", "name",
-                 "_rel_basis", "_coeff")
+                 "_rel_basis", "_coeff", "_hash")
 
     def __init__(self, group: FiniteGroup, rank: int,
                  relations: Sequence[Sequence[int]],
@@ -127,6 +127,7 @@ class GModule:
             raise ValueError("need one action matrix per group element")
         self._rel_basis = _lattice_basis(self.relations, rank)
         self._coeff: FpAbGroup | None = None
+        self._hash: int | None = None
         if check:
             self.validate()
 
@@ -191,12 +192,17 @@ class GModule:
         return self._coeff
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GModule) and self.group == other.group
-                and self.rank == other.rank and self.relations == other.relations
-                and self.action == other.action)
+        return self is other or (
+            isinstance(other, GModule) and self.group == other.group
+            and self.rank == other.rank and self.relations == other.relations
+            and self.action == other.action)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.rank, self.relations, self.action))
+        # the `h1` caches hash their module on every lookup, and a hash walks
+        # every action matrix, so it is computed once
+        if self._hash is None:
+            self._hash = hash((self.group, self.rank, self.relations, self.action))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GModule({self.name!r}, rank={self.rank}, over {self.group.name})"

@@ -36,6 +36,9 @@ the Euler criterion on the residue, and for p = 2 the quadratic-defect
 reduction of the unit part, which takes O(e) products.  `is_square` tests
 that vector for zero; `square_class_group` picks its greedy basis and
 `square_class` reads coordinates by F_2 elimination on those vectors.
+`becomes_square` reads squareness in an extension L through restriction
+K*/(K*)^2 -> L*/(L*)^2, as the sum of the L-classes of the basis elements
+in the K-class of x.
 """
 
 from __future__ import annotations
@@ -631,6 +634,33 @@ def embed(x: PadicElement, L: LocalField) -> PadicElement:
 def is_square(x: PadicElement) -> bool:
     """Exact squareness test: x is zero or its square class vector is zero."""
     return x.is_zero() or not _class_vector(x)
+
+
+def becomes_square(x: PadicElement, L: LocalField) -> bool:
+    """Whether x becomes a square in an extension L built on top of its field
+    K, that is whether x lies in the kernel of restriction
+    K*/(K*)^2 -> L*/(L*)^2.
+
+    Restriction is a homomorphism, so the class of x over L is the sum of the
+    L-classes of the basis elements of K*/(K*)^2 in x's K-class.  An image is
+    computed only for a set bit and then stays in L's square cache, so every
+    element of K read through the same L reuses it.
+    """
+    K = x.field
+    if not _is_prefix(K, L):
+        raise ValueError("target is not a tower extension of the element's field")
+    if x.is_zero():
+        return True
+    if K._class_cache is None:
+        square_class_group(K)
+    basis, rows = K._class_cache
+    # the basis spans, so the remainder is always zero
+    _, mask = _reduce(rows, _class_vector(x))
+    vec = 0
+    for i, b in enumerate(basis):
+        if mask >> i & 1:
+            vec ^= _class_vector(embed(b, L))
+    return not vec
 
 
 def _class_vector(x: PadicElement) -> int:

@@ -8,11 +8,12 @@ and under the corestriction back down.
 
 An analysis has three stages.  `analyze_local` and `analyze_global` settle
 the evidence: the extension degree, and whether d becomes a square over the
-extension (decided exactly over a p-adic base; over Q only from sound
-evidence, otherwise left unknown).  One rule function, `_rules`, turns that
-evidence into verdicts.  For half degree two, restriction and corestriction
-on the (Z/2)^2 descent classes are computed with the exact engine, once per
-extension degree: the identity and multiplication by the degree.  Where the
+extension (decided exactly over a p-adic base, through the restriction of
+the base's square class basis; over Q only from sound evidence, otherwise
+left unknown).  One rule function, `_rules`, turns that evidence into
+verdicts.  For half degree two, restriction and corestriction on the (Z/2)^2
+descent classes are computed with the exact engine, once per extension
+degree: the identity and multiplication by the degree.  Where the
 pairing between point classes and descent classes is perfect (a p-adic
 base) the point-class verdicts are their Pontryagin duals; otherwise only
 parity rules apply.  One constructor then builds the report, whose rule
@@ -29,7 +30,7 @@ from math import isqrt
 from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
 from .modules import CACHE_SIZE, GModule, chatelet_picard_module
-from .padic import LocalField, PadicElement, _is_prefix, embed, is_square
+from .padic import LocalField, PadicElement, _is_prefix, becomes_square, is_square
 
 
 _CONVENTIONS = (
@@ -137,7 +138,7 @@ def _descent_verdicts(n: int) -> tuple[tuple, tuple[str, str]]:
 
 def _nondegenerate_degree(surface: ChateletSurface, L: LocalField) -> int:
     n = _extension_degree(surface.base, L)
-    if is_square(embed(surface.d, L)):
+    if becomes_square(surface.d, L):
         raise ValueError("d becomes a square over L; the descent group collapses")
     return n
 
@@ -301,7 +302,7 @@ def analyze_local(surface: ChateletSurface, L: LocalField) -> AnalysisReport:
     over L is decided exactly, and the local pairing is perfect.
     """
     n = _extension_degree(surface.base, L)
-    degenerate = is_square(embed(surface.d, L))
+    degenerate = becomes_square(surface.d, L)
     if degenerate and n % 2 != 0:
         raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
     trace = ["degenerate_base_change" if degenerate else "nonsquare_class_survives_extension"]

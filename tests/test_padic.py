@@ -12,6 +12,7 @@ from chatelet.padic import (
     LocalField,
     PadicElement,
     _is_prime,
+    becomes_square,
     embed,
     is_square,
     norm,
@@ -871,3 +872,74 @@ def test_square_class_generators_match_the_full_pool(p, quadratic, quartic):
                   two_steps):
         assert field.residue_degree % 2 == 0
         assert square_class_group(field) == square_class_group_by_full_pool(field)
+
+
+# -- squareness after base change ---------------------------------------------------
+
+
+def _unramified_quadratic_over(K):
+    """K extended by the first x^2 + c1 x + c0, with c0 and c1 lifted
+    residues, whose reduction is irreducible over K's residue field."""
+    lifts = [K._lift_residue(r) for r in product(range(K.p), repeat=K.residue_degree)]
+    for c0 in lifts[1:]:
+        for c1 in lifts:
+            try:
+                return K.extend_unramified([c0, c1])
+            except ValueError:     # reducible modulo p
+                continue
+    raise AssertionError("no irreducible quadratic")
+
+
+def _base_changes():
+    """(name, K, L) for the bases Q_p, Q_p(sqrt p) and the unramified
+    quadratic of Q_p, p in {2, 3, 5}, and the towers L over K: K itself,
+    an unramified quadratic, x^k - pi_K for k = 2, 3, 4, and an unramified
+    quadratic followed by x^2 - pi_K."""
+    out = []
+    for p in (2, 3, 5):
+        qp = LocalField.qp(p)
+        bases = {"Qp": qp, "ram": qp.extend_eisenstein([-p, 0]),
+                 "unram": _unramified_quadratic_over(qp)}
+        for base, K in bases.items():
+            pi = K.uniformizer()
+            unram = _unramified_quadratic_over(K)
+            towers = {"same": K, "unram-2": unram,
+                      **{f"eis-{k}": K.extend_eisenstein([-pi] + [0] * (k - 1))
+                         for k in (2, 3, 4)},
+                      "mixed-4": unram.extend_eisenstein([-embed(pi, unram), 0])}
+            out += [(f"Q{p} {base} {tower}", K, L) for tower, L in towers.items()]
+    return out
+
+
+BASE_CHANGES = _base_changes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_becomes_square_agrees_with_squareness_of_the_image(data):
+    _, K, L = data.draw(st.sampled_from(BASE_CHANGES))
+    # a random element times a random product of basis elements, so that
+    # every basis bit is set about half the time
+    x = _elements(data, K, 1)[0]
+    assume(not x.is_zero())
+    for b in square_class_group(K):
+        if data.draw(st.booleans()):
+            x = x * b
+    assert becomes_square(x, L) == is_square(embed(x, L))
+
+
+def test_becomes_square_of_zero_is_true():
+    for _, K, L in BASE_CHANGES:
+        assert becomes_square(K.zero(), L)
+
+
+def test_becomes_square_refuses_a_field_that_is_not_a_tower_on_x_s_field():
+    q3 = LocalField.qp(3)
+    K = q3.extend_eisenstein([-3, 0])
+    others = (q3, LocalField.qp(5), q3.extend_unramified([1, 0]),
+              q3.extend_eisenstein([-6, 0]))
+    # a square and zero have mask 0 and embed nothing, and are checked first
+    for x in (K.integer(4), K.gen(0) ** 2, K.zero()):
+        for L in others:
+            with pytest.raises(ValueError):
+                becomes_square(x, L)
