@@ -321,23 +321,23 @@ def _as_matrix(value, path, errors, square=False):
     return IntMatrix(out, ncols=width)
 
 
+# the group kinds built from a size n, each with the largest n it admits
+_SIZED_GROUPS = {"cyclic": (cyclic_group, 64), "dihedral": (dihedral_group, 16),
+                 "symmetric": (symmetric_group, 4)}
+
+
 def _check_group(spec, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None:
         return None
     kind = _as_str(obj.get("kind"), f"{path}.kind", errors,
-                   choices={"cyclic", "dihedral", "symmetric", "quaternion", "table"})
+                   choices={*_SIZED_GROUPS, "quaternion", "table"})
     if kind is None:
         return None
-    if kind == "cyclic":
-        n = _as_int(obj.get("n"), f"{path}.n", errors, lo=1, hi=64)
-        return None if n is None else cyclic_group(n)
-    if kind == "dihedral":
-        n = _as_int(obj.get("n"), f"{path}.n", errors, lo=1, hi=16)
-        return None if n is None else dihedral_group(n)
-    if kind == "symmetric":
-        n = _as_int(obj.get("n"), f"{path}.n", errors, lo=1, hi=4)
-        return None if n is None else symmetric_group(n)
+    if kind in _SIZED_GROUPS:
+        make, largest = _SIZED_GROUPS[kind]
+        n = _as_int(obj.get("n"), f"{path}.n", errors, lo=1, hi=largest)
+        return None if n is None else make(n)
     if kind == "quaternion":
         return quaternion_group()
     table = obj.get("table")
@@ -413,61 +413,6 @@ def _build_action(obj, group, rank, path, errors):
     return matrices
 
 
-# fields, groups, modules and subgroups already built, keyed by the JSON
-# text of their spec; a module or subgroup key also holds its group.  A spec
-# that fails is never stored, so it runs every check and reports the same
-# errors each time
-_FIELDS: dict = {}
-_GROUPS: dict = {}
-_MODULES: dict = {}
-_SUBGROUPS: dict = {}
-
-
-def _spec_key(spec):
-    """The JSON text of a spec, or None for a spec that cannot be written as
-    JSON text, or only from a shallower stack: that one is built without
-    the lookup."""
-    try:
-        return json.dumps(spec, sort_keys=True)
-    except (TypeError, ValueError, RecursionError):
-        return None
-
-
-def _resolve(cache, key, build):
-    """The value stored under key, or build() when there is none; a value
-    that built is stored, unless the key is None."""
-    value = None if key is None else cache.get(key)
-    if value is None:
-        value = build()
-        if value is not None and key is not None:
-            _remember(cache, key, value)
-    return value
-
-
-def _build_field(spec, path, errors):
-    return _resolve(_FIELDS, _spec_key(spec), lambda: _check_field(spec, path, errors))
-
-
-def _build_group(spec, path, errors):
-    return _resolve(_GROUPS, _spec_key(spec), lambda: _check_group(spec, path, errors))
-
-
-def _build_over(cache, check, spec, group, path, errors):
-    """A module or subgroup over a group, resolved under (group, spec text);
-    without a group it is only checked, for the errors it reports."""
-    key = _spec_key(spec)
-    return _resolve(cache, None if group is None or key is None else (group, key),
-                    lambda: check(spec, group, path, errors))
-
-
-def _build_module(spec, group, path, errors):
-    return _build_over(_MODULES, _check_module, spec, group, path, errors)
-
-
-def _build_subgroup(spec, group, path, errors):
-    return _build_over(_SUBGROUPS, _check_subgroup, spec, group, path, errors)
-
-
 def _check_field(spec, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None:
@@ -526,6 +471,34 @@ def _check_subgroup(spec, group, path, errors):
         return None
 
 
+# fields, groups, modules and subgroups already built, one dict per check,
+# each bounded at CACHE_SIZE: a group-cohomology pass alone asks for 228 keys
+_BUILT = {check: {} for check in (_check_field, _check_group, _check_module, _check_subgroup)}
+
+
+def _build(check, spec, path, errors, *over):
+    """check(spec, *over, path, errors), resolved once per JSON text of spec
+    (key order does not matter) and objects it is built over.
+
+    A spec that fails is never stored, so it runs every check and reports
+    the same errors each time.  A spec that cannot be written as JSON text,
+    or only from a shallower stack, and one over a failed group, are only
+    checked."""
+    try:
+        key = (json.dumps(spec, sort_keys=True), *over)
+    except (TypeError, ValueError, RecursionError):
+        key = None
+    if key is None or None in over:
+        return check(spec, *over, path, errors)
+    cache = _BUILT[check]
+    value = cache.get(key)
+    if value is None:
+        value = check(spec, *over, path, errors)
+        if value is not None:
+            _remember(cache, key, value)
+    return value
+
+
 # -- job validators: each returns a closure that computes the result dict ---------
 
 
@@ -548,12 +521,12 @@ def _prep_snf(job, path, errors, trace):
 
 
 def _prep_h1(job, path, errors, trace):
-    group = _build_group(job.get("group"), f"{path}.group", errors)
-    module = _build_module(job.get("module"), group, f"{path}.module", errors)
+    group = _build(_check_group, job.get("group"), f"{path}.group", errors)
+    module = _build(_check_module, job.get("module"), f"{path}.module", errors, group)
     degree = _as_int(job.get("degree", 1), f"{path}.degree", errors, lo=0, hi=1)
     sub = None
     if "subgroup" in job:
-        sub = _build_subgroup(job["subgroup"], group, f"{path}.subgroup", errors)
+        sub = _build(_check_subgroup, job["subgroup"], f"{path}.subgroup", errors, group)
         if sub is None:
             return None
     if group is None or module is None or degree is None:
@@ -570,37 +543,27 @@ def _prep_h1(job, path, errors, trace):
             "description": describe_invariants(coh.invariants),
         }
         if sub is not None:
-            res = restriction_map(sub, module, degree=degree)
-            cor = corestriction_map(sub, module, degree=degree)
+            maps = {"restriction": restriction_map(sub, module, degree=degree),
+                    "corestriction": corestriction_map(sub, module, degree=degree)}
             result["subgroup"] = {
                 "elements": list(sub.elements),
                 "index": sub.index,
-                "invariants": list(res.target.invariants),
-                "restriction": {
-                    "zero": res.is_zero(),
-                    "injective": res.is_injective(),
-                    "surjective": res.is_surjective(),
-                },
-                "corestriction": {
-                    "zero": cor.is_zero(),
-                    "injective": cor.is_injective(),
-                    "surjective": cor.is_surjective(),
-                },
+                "invariants": list(maps["restriction"].target.invariants),
             }
+            for name, m in maps.items():
+                result["subgroup"][name] = {"zero": m.is_zero(), "injective": m.is_injective(),
+                                            "surjective": m.is_surjective()}
         return result
 
     return execute
 
 
 def _prep_ext_check(job, path, errors, trace):
-    group = _build_group(job.get("group"), f"{path}.group", errors)
-    sub = _build_subgroup(job.get("subgroup"), group, f"{path}.subgroup", errors)
-    quotient = _build_module(job.get("quotient_module"), group,
-                             f"{path}.quotient_module", errors)
-    pushed = _build_module(job.get("sub_module"), group,
-                           f"{path}.sub_module", errors)
-    target = _build_module(job.get("push_target"), group,
-                           f"{path}.push_target", errors)
+    group = _build(_check_group, job.get("group"), f"{path}.group", errors)
+    sub = _build(_check_subgroup, job.get("subgroup"), f"{path}.subgroup", errors, group)
+    quotient, pushed, target = (
+        _build(_check_module, job.get(key), f"{path}.{key}", errors, group)
+        for key in ("quotient_module", "sub_module", "push_target"))
     matrix = _as_matrix(job.get("push_map"), f"{path}.push_map", errors)
     if None in (group, sub, quotient, pushed, target, matrix):
         return None
@@ -638,7 +601,7 @@ def _prep_ext_check(job, path, errors, trace):
 
 
 def _prep_square_class(job, path, errors, trace):
-    field = _build_field(job.get("field"), f"{path}.field", errors)
+    field = _build(_check_field, job.get("field"), f"{path}.field", errors)
     elems_spec = _as_array(job.get("elements"), f"{path}.elements", errors, min_len=1)
     if field is None or elems_spec is None:
         return None
@@ -683,7 +646,8 @@ def _prep_analyze(job, path, errors, trace):
     is_global = base_spec == "Q"
 
     if is_global:
-        surface = _build_rational_surface(surface_spec, f"{path}.surface", errors)
+        surface = _build_surface(surface_spec, _rational, RationalChateletSurface,
+                                 f"{path}.surface", errors)
         ext_spec = _as_object(job.get("extension"), f"{path}.extension", errors)
         if surface is None or ext_spec is None:
             return None
@@ -695,8 +659,8 @@ def _prep_analyze(job, path, errors, trace):
             return None
         completion = None
         if "completion" in ext_spec:
-            completion = _build_field(ext_spec["completion"],
-                                      f"{path}.extension.completion", errors)
+            completion = _build(_check_field, ext_spec["completion"],
+                                f"{path}.extension.completion", errors)
             if completion is None:
                 return None
         if degree is None:
@@ -714,11 +678,13 @@ def _prep_analyze(job, path, errors, trace):
 
         return execute
 
-    base = _build_field(base_spec, f"{path}.surface.base", errors)
+    base = _build(_check_field, base_spec, f"{path}.surface.base", errors)
     if base is None:
         return None
-    surface = _build_local_surface(surface_spec, base, f"{path}.surface", errors)
-    extension = _build_field(job.get("extension"), f"{path}.extension", errors)
+    surface = _build_surface(surface_spec, lambda raw: parse_element(raw, base),
+                             lambda d, roots: ChateletSurface(base, d, roots),
+                             f"{path}.surface", errors)
+    extension = _build(_check_field, job.get("extension"), f"{path}.extension", errors)
     if surface is None or extension is None:
         return None
     if not _is_prefix(base, extension):
@@ -733,55 +699,36 @@ def _prep_analyze(job, path, errors, trace):
     return execute
 
 
-def _build_local_surface(spec, base, path, errors):
+def _rational(raw):
+    """A rational from an integer, or from a string like 3 or -5/7."""
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ExpressionError("expected a rational like 3 or -5/7")
+
+
+def _build_surface(spec, parse, make, path, errors):
+    """make(d, roots), with d and each root of spec read by parse, which
+    raises ExpressionError."""
     d_raw = spec.get("d")
     roots_raw = _as_array(spec.get("roots"), f"{path}.roots", errors, min_len=4)
     if d_raw is None:
         _err(errors, f"{path}.d", "missing")
         return None
-    if roots_raw is None:
-        return None
     try:
-        d = parse_element(d_raw, base)
+        d = parse(d_raw)
     except ExpressionError as exc:
         _err(errors, f"{path}.d", str(exc))
         return None
-    roots = _parse_each(roots_raw, f"{path}.roots", errors, lambda r: parse_element(r, base))
+    if roots_raw is None:
+        return None
+    roots = _parse_each(roots_raw, f"{path}.roots", errors, parse)
     if roots is None:
         return None
     try:
-        return ChateletSurface(base, d, tuple(roots))
-    except ValueError as exc:
-        _err(errors, path, str(exc))
-        return None
-
-
-def _rational_from_spec(raw, path, errors):
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            _err(errors, path, "expected a rational like 3 or -5/7")
-            return None
-    _err(errors, path, "expected a rational like 3 or -5/7")
-    return None
-
-
-def _build_rational_surface(spec, path, errors):
-    d = _rational_from_spec(spec.get("d"), f"{path}.d", errors)
-    roots_raw = _as_array(spec.get("roots"), f"{path}.roots", errors, min_len=4)
-    if d is None or roots_raw is None:
-        return None
-    roots = []
-    for i, raw in enumerate(roots_raw):
-        r = _rational_from_spec(raw, f"{path}.roots[{i}]", errors)
-        if r is None:
-            return None
-        roots.append(r)
-    try:
-        return RationalChateletSurface(d, tuple(roots))
+        return make(d, tuple(roots))
     except ValueError as exc:
         _err(errors, path, str(exc))
         return None

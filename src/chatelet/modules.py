@@ -31,11 +31,10 @@ from .intmat import (
 
 # entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
 # descent-verdict cache (one key per extension degree), by the padic field
-# cache and each field's square and inverse caches, by the CLI's field spec
-# cache (`_FIELDS`) and element expression cache (`_evaluate`), and by its
-# group, module and subgroup spec caches.  A benchmark pass asks them for at
-# most 45, 86, 140, 3, 67, 21, 2, 70, 172, 21, 153 and 54 distinct keys, so
-# none is evicted
+# cache and each field's square cache, by the CLI's element expression cache
+# (`_evaluate`), and by each of its field, group, module and subgroup spec
+# caches.  A benchmark pass asks them for at most 45, 86, 140, 3, 67, 21, 172,
+# 70, 21, 153 and 54 distinct keys, so none is evicted
 CACHE_SIZE = 256
 
 
@@ -141,8 +140,7 @@ class GModule:
 
     def matrices_equal(self, A: IntMatrix, B: IntMatrix) -> bool:
         """Equality of matrices as maps into this module (columnwise mod relations)."""
-        diff = A - B
-        return all(self.in_relation_lattice(diff.col(j)) for j in range(diff.ncols))
+        return A == B or all(self.in_relation_lattice(c) for c in (A - B).columns())
 
     def validate(self) -> "GModule":
         """Module axioms: shapes, identity, relation stability, and the
@@ -164,12 +162,10 @@ class GModule:
                 if not self.in_relation_lattice(self.action[g].apply(r)):
                     raise ValueError("action does not preserve the relation lattice")
         for s in self.group.generating_set():
-            s_cols = self.action[s].columns()
+            a_s = self.action[s]
             for g in self.group.elements():
-                a_g, a_gs = self.action[g], self.action[self.group.mul(g, s)]
-                # column j of a_g a_s is a_g applied to column j of a_s
-                if not all(self.vectors_equal(a_g.apply(c), a_gs.col(j))
-                           for j, c in enumerate(s_cols)):
+                if not self.matrices_equal(self.action[g] @ a_s,
+                                           self.action[self.group.mul(g, s)]):
                     raise ValueError("action matrices are not a homomorphism")
         return self
 

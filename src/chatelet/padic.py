@@ -196,7 +196,7 @@ class LocalField:
 
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
                  "_monomials", "_weights", "_table", "_table_den", "_unram",
-                 "_res_table", "_square_cache", "_class_cache", "_inv_cache",
+                 "_res_table", "_square_cache", "_class_cache",
                  "_pi_powers", "_inv_eps_sq", "_hash", "_name")
 
     def __init__(self, p: int, steps: tuple):
@@ -269,7 +269,6 @@ class LocalField:
 
         self._square_cache: dict = {}
         self._class_cache = None
-        self._inv_cache: dict = {}
         self._pi_powers: tuple | None = None
         self._inv_eps_sq: tuple | None = None
 
@@ -534,10 +533,6 @@ class PadicElement:
 
     def inverse(self) -> "PadicElement":
         field = self.field
-        key = (self.nums, self.den)
-        cached = field._inv_cache.get(key)
-        if cached is not None:
-            return cached
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         # column j of M holds the numerators of self * m_j, so multiplication
@@ -549,8 +544,7 @@ class PadicElement:
         if d == 0:
             raise ZeroDivisionError("element is a zero divisor; tower invalid")
         scale = self.den * field._table_den
-        inv = PadicElement(field, [scale * row[0] for row in X], d)
-        return _remember(field._inv_cache, key, inv)
+        return PadicElement(field, [scale * row[0] for row in X], d)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

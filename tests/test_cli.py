@@ -6,7 +6,9 @@ import json
 import random
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -422,10 +424,10 @@ def test_cli_caches_are_bounded():
     errors = []
     for k in range(CACHE_SIZE + 12):
         spec = {"p": 3, "steps": [{"kind": "eisenstein", "poly": [3 * (3 * k + 1), 0]}]}
-        assert cli._build_field(spec, "field", errors) is not None
+        assert cli._build(cli._check_field, spec, "field", errors) is not None
         parse_element(str(k), LocalField.qp(3))
     assert errors == []
-    assert len(cli._FIELDS) == CACHE_SIZE
+    assert len(cli._BUILT[cli._check_field]) == CACHE_SIZE
     info = cli._evaluate.cache_info()
     assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
 
@@ -457,39 +459,44 @@ def test_a_boolean_element_after_the_same_integer_is_refused(monkeypatch, capsys
 
 def test_an_absent_step_list_is_the_empty_one():
     errors = []
-    bare = cli._build_field({"p": 2}, "field", errors)
-    assert bare == cli._build_field({"p": 2, "steps": []}, "field", errors) == LocalField.qp(2)
+    bare = cli._build(cli._check_field, {"p": 2}, "field", errors)
+    assert bare == cli._build(cli._check_field, {"p": 2, "steps": []}, "field",
+                              errors) == LocalField.qp(2)
     assert errors == []
 
 
 def test_group_module_and_subgroup_caches_are_bounded():
     errors = []
-    group = cli._build_group({"kind": "cyclic", "n": 64}, "group", errors)
+    group = cli._build(cli._check_group, {"kind": "cyclic", "n": 64}, "group", errors)
     for k in range(CACHE_SIZE + 12):
-        assert cli._build_group({"kind": "cyclic", "n": 4, "note": k}, "group", errors)
-        assert cli._build_module({"kind": "trivial", "note": k}, group, "module", errors)
-        assert cli._build_subgroup([0] * (k + 1) + [32], group, "subgroup", errors)
+        assert cli._build(cli._check_group, {"kind": "cyclic", "n": 4, "note": k}, "group",
+                          errors)
+        assert cli._build(cli._check_module, {"kind": "trivial", "note": k}, "module", errors,
+                          group)
+        assert cli._build(cli._check_subgroup, [0] * (k + 1) + [32], "subgroup", errors, group)
     assert errors == []
-    for cache in (cli._GROUPS, cli._MODULES, cli._SUBGROUPS):
-        assert len(cache) <= CACHE_SIZE
+    for check in (cli._check_group, cli._check_module, cli._check_subgroup):
+        assert len(cli._BUILT[check]) <= CACHE_SIZE
 
 
 def test_a_repeated_spec_is_resolved_once_whatever_its_key_order():
     errors = []
-    group = cli._build_group({"kind": "dihedral", "n": 4}, "group", errors)
-    assert cli._build_group({"n": 4, "kind": "dihedral"}, "group", errors) is group
-    module = cli._build_module({"kind": "trivial", "rank": 2, "relations": [[2, 0], [0, 4]]},
-                               group, "module", errors)
-    assert cli._build_module({"relations": [[2, 0], [0, 4]], "rank": 2, "kind": "trivial"},
-                             group, "module", errors) is module
-    sub = cli._build_subgroup([0, 4], group, "subgroup", errors)
-    assert cli._build_subgroup([0, 4], group, "subgroup", errors) is sub
+    build = cli._build
+    group = build(cli._check_group, {"kind": "dihedral", "n": 4}, "group", errors)
+    assert build(cli._check_group, {"n": 4, "kind": "dihedral"}, "group", errors) is group
+    module = build(cli._check_module, {"kind": "trivial", "rank": 2,
+                                       "relations": [[2, 0], [0, 4]]}, "module", errors, group)
+    assert build(cli._check_module, {"relations": [[2, 0], [0, 4]], "rank": 2,
+                                     "kind": "trivial"}, "module", errors, group) is module
+    sub = build(cli._check_subgroup, [0, 4], "subgroup", errors, group)
+    assert build(cli._check_subgroup, [0, 4], "subgroup", errors, group) is sub
     assert errors == []
     # the same spec over another group is another module and subgroup
-    other = cli._build_group({"kind": "cyclic", "n": 8}, "group", errors)
-    assert cli._build_module({"kind": "trivial", "rank": 2, "relations": [[2, 0], [0, 4]]},
-                             other, "module", errors).group is other
-    assert cli._build_subgroup([0, 4], other, "subgroup", errors).parent is other
+    other = build(cli._check_group, {"kind": "cyclic", "n": 8}, "group", errors)
+    assert build(cli._check_module, {"kind": "trivial", "rank": 2,
+                                     "relations": [[2, 0], [0, 4]]}, "module", errors,
+                 other).group is other
+    assert build(cli._check_subgroup, [0, 4], "subgroup", errors, other).parent is other
 
 
 @pytest.mark.parametrize("job, message", [
@@ -505,6 +512,54 @@ def test_a_repeated_bad_group_module_or_subgroup_is_reported_at_each_path(job, m
     results, errors = run(doc(job, {"type": "snf", "matrix": [[1]]}, job))
     assert results is None
     assert errors == [f"jobs[{i}].{message}" for i in (0, 2)]
+
+
+@pytest.mark.parametrize("kind, largest", [("cyclic", 64), ("dihedral", 16), ("symmetric", 4)])
+def test_a_sized_group_is_refused_outside_its_range(kind, largest):
+    for n, message in ((0, "must be at least 1"), (largest + 1, f"must be at most {largest}")):
+        job = {"type": "h1", "group": {"kind": kind, "n": n}, "module": {"kind": "trivial"}}
+        assert run(doc(job)) == (None, [f"jobs[0].group.n: {message}"])
+
+
+LOCAL_SURFACE = {"base": {"p": 5}, "d": "2", "roots": ["1", "2", "3", "4"]}
+GLOBAL_SURFACE = {"base": "Q", "d": 2, "roots": [1, 2, 3, 4]}
+
+
+def _surface_errors(surface, changes):
+    surface = {k: v for k, v in {**surface, **changes}.items() if v is not None}
+    extension = {"degree": 2} if surface["base"] == "Q" else {"p": 5}
+    results, errors = run(doc({"type": "analyze", "surface": surface, "extension": extension}))
+    assert results is None
+    return [e.removeprefix("jobs[0].surface") for e in errors]
+
+
+@pytest.mark.parametrize("changes, errors", [
+    ({"d": "2 +"}, [".d: expected a number, generator, or parenthesis"]),
+    ({"d": None}, [".d: missing"]),
+    ({"roots": ["1", "t1", "3", "("]},
+     [".roots[1]: t1 is not a generator of this field",
+      ".roots[3]: expected a number, generator, or parenthesis"]),
+    ({"roots": ["1", "2", "3"]}, [".roots: expected at least 4 entries"]),
+    ({"d": "2 +", "roots": 5},
+     [".roots: expected an array", ".d: expected a number, generator, or parenthesis"]),
+    ({"roots": ["1", "2", "3", "9/3"]}, [": roots must be distinct"]),
+])
+def test_a_bad_local_surface_is_reported_at_its_path(changes, errors):
+    assert _surface_errors(LOCAL_SURFACE, changes) == errors
+
+
+@pytest.mark.parametrize("changes, errors", [
+    ({"d": "x"}, [".d: expected a rational like 3 or -5/7"]),
+    ({"d": None}, [".d: missing"]),
+    ({"roots": [1, "y", 3, [4]]},
+     [".roots[1]: expected a rational like 3 or -5/7",
+      ".roots[3]: expected a rational like 3 or -5/7"]),
+    ({"roots": [1, 2, 3]}, [".roots: expected at least 4 entries"]),
+    ({"d": "x", "roots": 5}, [".roots: expected an array", ".d: expected a rational like 3 or -5/7"]),
+    ({"roots": [1, 2, 3, "6/2"]}, [": roots must be distinct and nonzero"]),
+])
+def test_a_bad_global_surface_is_reported_at_its_path(changes, errors):
+    assert _surface_errors(GLOBAL_SURFACE, changes) == errors
 
 
 def test_a_spec_too_deep_to_write_as_text_is_still_built():
@@ -848,3 +903,74 @@ _json_values = st.recursive(
 @given(value=_json_values)
 def test_to_json_matches_json_dumps(value):
     assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# -- the job schema under mutation -----------------------------------------------
+
+
+def _benchmark_seeds():
+    """The shortest benchmark document for each job type and set of job keys."""
+    shortest = {}
+    for path in sorted((Path(__file__).parents[1] / "perfbench" / "docs").glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            document = json.loads(line)["doc"]
+            job = document["jobs"][0]
+            key = (job["type"], tuple(sorted(job)))
+            if key not in shortest or len(json.dumps(document)) < len(json.dumps(shortest[key])):
+                shortest[key] = document
+    return [shortest[key] for key in sorted(shortest)]
+
+
+# the benchmark has no global-mode analyze document: one per kind of evidence
+_GLOBAL_SEEDS = [
+    doc({"type": "analyze", "extension": extension,
+         "surface": {"base": "Q", "d": d, "roots": [1, 2, "3", "-5/7"]}})
+    for d, extension in ((2, {"degree": 3}),
+                         ("2", {"degree": 2, "completion": {"p": 5, "steps": []}}),
+                         (5, {"degree": 4, "assert_degenerate": True}))]
+_SCHEMA_SEEDS = _benchmark_seeds() + _GLOBAL_SEEDS
+
+
+def _places(value, place=()):
+    """Every place in a document: the key or index path of each value."""
+    yield place
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _places(inner, place + (key,))
+
+
+# a value is replaced by one of every JSON type; integers stay within 2^64 of
+# zero and include the edges of the documented ranges
+_BOUNDARY_INTS = [0, 1, -1, 2, 4, 5, 12, 13, 16, 17, 64, 65, 128, 129,
+                  2 ** 63, 2 ** 64 - 59, 2 ** 64 - 1, 2 ** 64, -2 ** 64]
+_SCHEMA_WORDS = ["", "Q", "t1", "t2", "1/2", "0", "2^64", "cyclic", "table", "regular",
+                 "explicit", "picard", "eisenstein", "unramified", "analyze", "snf"]
+_REPLACEMENTS = (st.none() | st.booleans() | st.text(max_size=6) | st.sampled_from(_SCHEMA_WORDS)
+                 | st.integers(-2 ** 64, 2 ** 64) | st.sampled_from(_BOUNDARY_INTS)
+                 | st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3)
+                 | st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+
+
+# the deadline is each document's time budget, in milliseconds
+@settings(max_examples=1500, deadline=10_000)
+@given(data=st.data())
+def test_a_mutated_document_exits_0_or_2_without_a_traceback(data):
+    document = json.loads(json.dumps(data.draw(st.sampled_from(_SCHEMA_SEEDS))))
+    place = data.draw(st.sampled_from(list(_places(document))[1:]))
+    *outer, last = place
+    parent = document
+    for key in outer:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = data.draw(_REPLACEMENTS)
+    flags = data.draw(st.sampled_from([(), ("--format", "text"), ("--trace",)]))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(["-", *flags])
+    assert code in (0, 2), err.getvalue()
+    assert code == 0 or out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
