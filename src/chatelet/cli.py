@@ -475,6 +475,10 @@ def _check_subgroup(spec, group, path, errors):
 # each bounded at CACHE_SIZE: a group-cohomology pass alone asks for 228 keys
 _BUILT = {check: {} for check in (_check_field, _check_group, _check_module, _check_subgroup)}
 
+# json.dumps(spec, sort_keys=True) without building an encoder per call: the
+# same text, and the same errors
+_spec_text = json.JSONEncoder(sort_keys=True).encode
+
 
 def _build(check, spec, path, errors, *over):
     """check(spec, *over, path, errors), resolved once per JSON text of spec
@@ -485,7 +489,7 @@ def _build(check, spec, path, errors, *over):
     or only from a shallower stack, and one over a failed group, are only
     checked."""
     try:
-        key = (json.dumps(spec, sort_keys=True), *over)
+        key = (_spec_text(spec), *over)
     except (TypeError, ValueError, RecursionError):
         key = None
     if key is None or None in over:
@@ -797,32 +801,56 @@ _SCALARS = {
 }
 
 
-def _to_json(value, indent: str = "") -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), nested at indent.
+def _to_json(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True).
 
     With an indent, json.dumps encodes in pure Python one element at a time,
-    and a Smith transform is hundreds of integers; here a list of integers
-    is joined in one step.  Strings, integers, booleans, None, nonempty
-    lists and string-keyed dicts are written here; every other value is
-    left to json.dumps, so the bytes are the same.
+    and a Smith transform is hundreds of integers.  Here the text goes into
+    one list of pieces joined once: a list of integers is joined in one
+    step, and a string, integer or boolean value of a dict is written in
+    place, not by a call of its own.  Strings, integers, booleans, None,
+    nonempty lists and string-keyed dicts are written here; every other
+    value is left to json.dumps, so the bytes are the same.
     """
+    out: list = []
+    _write_json(value, "", out)
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list) -> None:
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
-        return scalar(value)
+        out.append(scalar(value))
+        return
     inner = indent + "  "
+    first, sep = "\n" + inner, ",\n" + inner
     if type(value) is list and value:
-        brackets = "[]"
         if all(type(x) is int for x in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_to_json(x, inner) for x in value]
+            out += "[", first, sep.join(map(int.__repr__, value)), f"\n{indent}]"
+            return
+        out.append("[")
+        for x in value:
+            out.append(first)
+            first = sep
+            _write_json(x, inner, out)
+        out.append(f"\n{indent}]")
     elif type(value) is dict and value and all(type(k) is str for k in value):
-        brackets = "{}"
-        items = [encode_basestring_ascii(k) + ": " + _to_json(v, inner)
-                 for k, v in sorted(value.items())]
+        out.append("{")
+        for k, v in sorted(value.items()):
+            out += first, encode_basestring_ascii(k), ": "
+            first = sep
+            t = type(v)
+            if t is str:
+                out.append(encode_basestring_ascii(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            elif t is bool:
+                out.append("true" if v else "false")
+            else:
+                _write_json(v, inner, out)
+        out.append(f"\n{indent}}}")
     else:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
 def _render_text(results) -> str:
@@ -880,9 +908,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # than a small job
 _PARSER = _build_parser()
 
+# the parsed arguments of each distinct argument list, bounded at CACHE_SIZE:
+# a batch sends every document with the same list, and parsing it costs
+# about a tenth of a small job.  A parse that exits is not kept, so its
+# message repeats on every call
+_ARGS: dict = {}
+
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    key = tuple(sys.argv[1:] if argv is None else argv)
+    args = _ARGS.get(key)
+    if args is None:
+        args = _remember(_ARGS, key, _PARSER.parse_args(key))
 
     try:
         if args.input == "-":

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 class FiniteGroup:
     """A finite group presented by its full multiplication table."""
 
-    __slots__ = ("table", "identity", "name", "_inv", "_gens", "_relators")
+    __slots__ = ("table", "identity", "name", "_inv", "_gens", "_relators", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", check: bool = True):
         n = len(table)
@@ -32,6 +32,7 @@ class FiniteGroup:
         self.name = name
         self._gens: list[int] | None = None
         self._relators: tuple[tuple[int, ...], ...] | None = None
+        self._hash: int | None = None
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
         if any(x < 0 or x >= n for row in self.table for x in row):
@@ -134,10 +135,14 @@ class FiniteGroup:
         return self._relators
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (isinstance(other, FiniteGroup) and self.table == other.table)
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        # the CLI spec caches and the module hashes hash their group on every
+        # lookup, and a hash walks the whole table, so it is computed once
+        if self._hash is None:
+            self._hash = hash(self.table)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"

@@ -32,9 +32,10 @@ from .intmat import (
 # entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
 # descent-verdict cache (one key per extension degree), by the padic field
 # cache and each field's square cache, by the CLI's element expression cache
-# (`_evaluate`), and by each of its field, group, module and subgroup spec
-# caches.  A benchmark pass asks them for at most 45, 86, 140, 3, 67, 21, 172,
-# 70, 21, 153 and 54 distinct keys, so none is evicted
+# (`_evaluate`), by each of its field, group, module and subgroup spec caches,
+# and by its store of parsed argument lists.  A benchmark pass asks them for
+# at most 45, 86, 140, 3, 67, 21, 172, 70, 21, 153, 54 and 1 distinct keys,
+# so none is evicted
 CACHE_SIZE = 256
 
 

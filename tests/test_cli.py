@@ -420,14 +420,17 @@ def test_field_spec_errors_have_paths():
 # -- the field and element caches ------------------------------------------------
 
 
-def test_cli_caches_are_bounded():
+def test_cli_caches_are_bounded(monkeypatch, capsys):
     errors = []
     for k in range(CACHE_SIZE + 12):
         spec = {"p": 3, "steps": [{"kind": "eisenstein", "poly": [3 * (3 * k + 1), 0]}]}
         assert cli._build(cli._check_field, spec, "field", errors) is not None
         parse_element(str(k), LocalField.qp(3))
+        assert _run_stdin(monkeypatch, doc({"type": "snf", "matrix": [[k]]}), "--seed", str(k)) == 0
     assert errors == []
+    assert capsys.readouterr().out.count('"version": 1') == CACHE_SIZE + 12
     assert len(cli._BUILT[cli._check_field]) == CACHE_SIZE
+    assert len(cli._ARGS) == CACHE_SIZE and ("-", "--seed", str(CACHE_SIZE + 11)) in cli._ARGS
     info = cli._evaluate.cache_info()
     assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
 
@@ -876,6 +879,35 @@ def test_main_repeated_calls_match_the_first(tmp_path, capsys):
     assert first[()] != first[("--trace",)] != first[("--format", "text")]
 
 
+def test_one_argument_list_reads_each_document_anew(monkeypatch, capsys):
+    # main keeps the parsed arguments of each list; the document behind "-"
+    # must still be read and answered on every call
+    analyze = {"type": "analyze",
+               "surface": {"base": {"p": 5, "steps": []}, "d": "2", "roots": ["1", "2", "3", "4"]},
+               "extension": {"p": 5, "steps": [{"kind": "eisenstein", "poly": [-5, 0]}]}}
+    documents = [doc(analyze), doc({"type": "snf", "matrix": [[2, 4], [6, 8]]})]
+    for flags in [(), ("--format", "text"), ("--trace",), (), ("--format", "text")]:
+        outs = []
+        for document in documents * 2:
+            assert _run_stdin(monkeypatch, document, *flags) == 0
+            outs.append(capsys.readouterr().out)
+            results, _ = run(document, trace="--trace" in flags)
+            assert outs[-1] == (cli._render_text(results) if "text" in flags else
+                                json.dumps({"version": 1, "results": results},
+                                           indent=2, sort_keys=True) + "\n")
+        assert outs[0] != outs[1] and outs[:2] == outs[2:]
+
+
+def test_a_refused_argument_list_exits_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "xml", "-"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: chatelet ")
+        assert "argument --format: invalid choice: 'xml'" in err
+
+
 def test_main_dense_snf_30x30_exits_0(tmp_path, capsys):
     rng = random.Random(30)
     matrix = [[rng.randint(-99, 99) for _ in range(30)] for _ in range(30)]
@@ -903,6 +935,25 @@ _json_values = st.recursive(
 @given(value=_json_values)
 def test_to_json_matches_json_dumps(value):
     assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# keys of mixed types cannot be sorted, and NaN has no standard JSON text
+_spec_values = (_json_values | st.just(float("nan"))
+                | st.lists(st.just(float("nan")) | _json_scalars, max_size=3)
+                | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2) | st.none()
+                                  | st.floats(), _json_values, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_spec_values)
+def test_spec_text_matches_json_dumps(value):
+    try:
+        expected = json.dumps(value, sort_keys=True)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            cli._spec_text(value)
+    else:
+        assert cli._spec_text(value) == expected
 
 
 # -- the job schema under mutation -----------------------------------------------

@@ -133,6 +133,15 @@ def test_direct_product():
     FiniteGroup(G.table)
 
 
+def test_groups_built_apart_from_one_table_are_equal_and_hash_equal():
+    table = dihedral_group(4).table
+    G, H = FiniteGroup(table), FiniteGroup([list(row) for row in table], name="other")
+    assert G is not H and G == H and H == G
+    assert hash(G) == hash(H) == hash(G) == hash(table)
+    assert {G: "kept"}[H] == "kept"
+    assert G != cyclic_group(8) and hash(G) != hash(cyclic_group(8))
+
+
 def test_bad_tables_rejected():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])  # 1 has no inverse row behaviour
