@@ -55,7 +55,6 @@ from .modules import (
 from .padic import (
     LocalField,
     _is_prefix,
-    _remember,
     is_square,
     square_class,
     square_class_group,
@@ -144,7 +143,7 @@ def parse_element(text, field: LocalField):
     return _evaluate(text, field)
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
+@lru_cache(maxsize=CACHE_SIZE)
 def _evaluate(text, field: LocalField):
     if isinstance(text, int):
         return _bounded(field.integer(text))
@@ -471,36 +470,39 @@ def _check_subgroup(spec, group, path, errors):
         return None
 
 
-# fields, groups, modules and subgroups already built, one dict per check,
-# each bounded at CACHE_SIZE: a group-cohomology pass alone asks for 228 keys
-_BUILT = {check: {} for check in (_check_field, _check_group, _check_module, _check_subgroup)}
-
 # json.dumps(spec, sort_keys=True) without building an encoder per call: the
 # same text, and the same errors
 _spec_text = json.JSONEncoder(sort_keys=True).encode
+
+
+class _Refused(Exception):
+    """A spec that failed its check, with the errors relative to its path."""
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _resolve(check, text, *over):
+    """check on the spec read back from its JSON text, at the empty path.
+    A failed check raises, so nothing is kept for it."""
+    errors: list = []
+    value = check(json.loads(text), *over, "", errors)
+    if value is None:
+        raise _Refused(errors)
+    return value
 
 
 def _build(check, spec, path, errors, *over):
     """check(spec, *over, path, errors), resolved once per JSON text of spec
     (key order does not matter) and objects it is built over.
 
-    A spec that fails is never stored, so it runs every check and reports
-    the same errors each time.  A spec that cannot be written as JSON text,
-    or only from a shallower stack, and one over a failed group, are only
-    checked."""
+    A spec that fails reports the same errors at each path.  A spec that
+    cannot be written as JSON text, or read back from it, is only checked."""
     try:
-        key = (_spec_text(spec), *over)
+        return _resolve(check, _spec_text(spec), *over)
+    except _Refused as exc:
+        errors.extend(path + e for e in exc.args[0])
+        return None
     except (TypeError, ValueError, RecursionError):
-        key = None
-    if key is None or None in over:
         return check(spec, *over, path, errors)
-    cache = _BUILT[check]
-    value = cache.get(key)
-    if value is None:
-        value = check(spec, *over, path, errors)
-        if value is not None:
-            _remember(cache, key, value)
-    return value
 
 
 # -- job validators: each returns a closure that computes the result dict ---------
@@ -908,18 +910,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # than a small job
 _PARSER = _build_parser()
 
-# the parsed arguments of each distinct argument list, bounded at CACHE_SIZE:
-# a batch sends every document with the same list, and parsing it costs
-# about a tenth of a small job.  A parse that exits is not kept, so its
-# message repeats on every call
-_ARGS: dict = {}
+# the parsed arguments of each distinct argument list: a batch sends every
+# document with the same list, and parsing it costs about a tenth of a small
+# job.  A parse that exits is not kept, so its message repeats on every call
+_parse_args = lru_cache(maxsize=CACHE_SIZE)(_PARSER.parse_args)
 
 
 def main(argv=None) -> int:
-    key = tuple(sys.argv[1:] if argv is None else argv)
-    args = _ARGS.get(key)
-    if args is None:
-        args = _remember(_ARGS, key, _PARSER.parse_args(key))
+    args = _parse_args(tuple(sys.argv[1:] if argv is None else argv))
 
     try:
         if args.input == "-":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -34,7 +34,8 @@ class IntMatrix:
     count is kept explicitly so empty matrices still know their width.
 
     The constructor, `from_columns`, `diagonal` and `scale` take entries from
-    outside and convert each through `int()`, rejecting ragged rows.  Results
+    outside and convert each through `operator.index`, which refuses floats,
+    strings and other non-integers, and reject ragged rows.  Results
     built from entries that are already Python ints (`identity`, `zeros`,
     sums, negations and products) go through `_wrap`, which does not check.
     """
@@ -42,7 +43,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(index, row)) for row in rows)
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):

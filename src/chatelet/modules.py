@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import index
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup, cyclic_group
@@ -29,13 +30,12 @@ from .intmat import (
     vstack,
 )
 
-# entries kept by each of the hom_module, h0 and h1 caches, by the surfaces
-# descent-verdict cache (one key per extension degree), by the padic field
-# cache and each field's square cache, by the CLI's element expression cache
-# (`_evaluate`), by each of its field, group, module and subgroup spec caches,
-# and by its store of parsed argument lists.  A benchmark pass asks them for
-# at most 45, 86, 140, 3, 67, 21, 172, 70, 21, 153, 54 and 1 distinct keys,
-# so none is evicted
+# entries kept by each lru_cache of the library: hom_module, h0 and h1, the
+# surfaces descent verdicts (one key per extension degree), the padic fields
+# and class vectors, and the CLI's element expressions (`_evaluate`), specs
+# (`_resolve`) and parsed argument lists.  A benchmark pass asks them for at
+# most 45, 86, 140, 3, 67, 235, 172, 228 and 1 distinct keys, so none is
+# evicted
 CACHE_SIZE = 256
 
 
@@ -57,7 +57,7 @@ class FpAbGroup:
 
     def __init__(self, rank: int, relations: Sequence[Sequence[int]] = ()):
         self.rank = rank
-        self.relations = tuple(tuple(int(x) for x in r) for r in relations)
+        self.relations = tuple(tuple(map(index, r)) for r in relations)
         if any(len(r) != rank for r in self.relations):
             raise ValueError("relation length does not match rank")
         self._subq = LatticeSubquotient(rank, IntMatrix.identity(rank).rows, self.relations)
@@ -118,7 +118,7 @@ class GModule:
                  name: str = "M", check: bool = True):
         self.group = group
         self.rank = rank
-        self.relations = tuple(tuple(int(x) for x in r) for r in relations)
+        self.relations = tuple(tuple(map(index, r)) for r in relations)
         if isinstance(action, Mapping):
             action = [action[g] for g in group.elements()]
         self.action = tuple(action)

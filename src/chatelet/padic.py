@@ -174,15 +174,6 @@ class _Step:
                    # as elements of the field below
 
 
-def _remember(cache: dict, key, value):
-    """Store value in a per-field cache, first dropping the oldest entry when
-    the cache already holds CACHE_SIZE."""
-    if len(cache) >= CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[key] = value
-    return value
-
-
 class LocalField:
     """A finite extension of Q_p presented as a tower of simple steps.
 
@@ -196,7 +187,7 @@ class LocalField:
 
     __slots__ = ("p", "steps", "degree", "ramification_index", "residue_degree",
                  "_monomials", "_weights", "_table", "_table_den", "_unram",
-                 "_res_table", "_square_cache", "_class_cache",
+                 "_res_table", "_class_cache",
                  "_pi_powers", "_inv_eps_sq", "_hash", "_name")
 
     def __init__(self, p: int, steps: tuple):
@@ -267,7 +258,6 @@ class LocalField:
             if _bareiss(cols, [()] * f)[1] % p == 0:
                 raise ValueError("polynomial is not irreducible over the residue field")
 
-        self._square_cache: dict = {}
         self._class_cache = None
         self._pi_powers: tuple | None = None
         self._inv_eps_sq: tuple | None = None
@@ -627,7 +617,7 @@ def embed(x: PadicElement, L: LocalField) -> PadicElement:
 
 def is_square(x: PadicElement) -> bool:
     """Exact squareness test: x is zero or its square class vector is zero."""
-    return x.is_zero() or not _class_vector(x)
+    return x.is_zero() or not _class_vector(x.field, x.nums, x.den)
 
 
 def becomes_square(x: PadicElement, L: LocalField) -> bool:
@@ -637,8 +627,8 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
 
     Restriction is a homomorphism, so the class of x over L is the sum of the
     L-classes of the basis elements of K*/(K*)^2 in x's K-class.  An image is
-    computed only for a set bit and then stays in L's square cache, so every
-    element of K read through the same L reuses it.
+    computed only for a set bit and then stays in the class-vector cache, so
+    every element of K read through the same L reuses it.
     """
     K = x.field
     if not _is_prefix(K, L):
@@ -649,16 +639,21 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
         square_class_group(K)
     basis, rows = K._class_cache
     # the basis spans, so the remainder is always zero
-    _, mask = _reduce(rows, _class_vector(x))
+    _, mask = _reduce(rows, _class_vector(K, x.nums, x.den))
     vec = 0
     for i, b in enumerate(basis):
         if mask >> i & 1:
-            vec ^= _class_vector(embed(b, L))
+            y = embed(b, L)
+            vec ^= _class_vector(L, y.nums, y.den)
     return not vec
 
 
-def _class_vector(x: PadicElement) -> int:
-    """The class of a nonzero x in K*/(K*)^2 as a bit mask over F_2.
+# keyed by the parts of x, not by x, whose __hash__ and __eq__ would run in
+# Python on every hit
+@lru_cache(maxsize=CACHE_SIZE)
+def _class_vector(field: LocalField, nums: tuple, den: int) -> int:
+    """The class of the nonzero x = PadicElement(field, nums, den) in
+    K*/(K*)^2 as a bit mask over F_2.
 
     Write x = pi^v u with u a unit; bit 0 is v mod 2.  For odd p, bit 1 is
     set when the residue of u is not a square (Euler's criterion).  For
@@ -689,11 +684,7 @@ def _class_vector(x: PadicElement) -> int:
     all 1 and are not computed; for odd p, Euler's criterion is one modular
     power of the residue integer.
     """
-    field = x.field
-    key = (x.nums, x.den)
-    cached = field._square_cache.get(key)
-    if cached is not None:
-        return cached
+    x = PadicElement(field, nums, den)
     p, e, f = field.p, field.ramification_index, field.residue_degree
     q = p ** f
     v = x.valuation()
@@ -740,20 +731,27 @@ def _class_vector(x: PadicElement) -> int:
                 c = field._res_mul(c, c)
                 trace += c[0]
             vec |= (trace % 2) << (field.degree + 1)
-    return _remember(field._square_cache, key, vec)
+    return vec
 
 
 def _det(m: list) -> PadicElement:
-    """Determinant by cofactor expansion; sizes here never exceed the step degree."""
-    if len(m) == 1:
-        return m[0][0]
-    total = m[0][0].field.zero()
-    for j, a in enumerate(m[0]):
-        if a.is_zero():
-            continue
-        term = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        total = total - term if j % 2 else total + term
-    return total
+    """Determinant of a square matrix over a field by Gaussian elimination:
+    O(d^3) products and d inverses for size d."""
+    m = [list(row) for row in m]
+    det = m[0][0].field.one()
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if not m[r][c].is_zero()), None)
+        if r is None:
+            return det.field.zero()
+        m[c], m[r] = m[r], m[c]
+        top = m[c]
+        det = top[c] * (det if r == c else -det)
+        inv = top[c].inverse()
+        for row in m[c + 1:]:
+            if not row[c].is_zero():
+                f = row[c] * inv
+                row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], top[c + 1:])]
+    return det
 
 
 def norm(L: LocalField, K: LocalField, x: PadicElement) -> PadicElement:
@@ -843,7 +841,7 @@ def square_class_group(K: LocalField) -> list[PadicElement]:
         for cand in _square_class_pool(K):
             if cand.is_zero():
                 continue
-            vec, mask = _reduce(rows, _class_vector(cand))
+            vec, mask = _reduce(rows, _class_vector(K, cand.nums, cand.den))
             if vec:
                 rows[vec.bit_length() - 1] = (vec, mask | (1 << len(basis)))
                 basis.append(cand)
@@ -862,5 +860,5 @@ def square_class(K: LocalField, x: PadicElement) -> tuple[int, ...]:
     if x.field != K:
         raise ValueError("element does not belong to K")
     size = len(square_class_group(K))
-    _, mask = _reduce(K._class_cache[1], _class_vector(x))
+    _, mask = _reduce(K._class_cache[1], _class_vector(K, x.nums, x.den))
     return tuple(mask >> i & 1 for i in range(size))

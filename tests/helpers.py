@@ -28,7 +28,9 @@ greedy square class search without skipping the units of F_p* or of the
 residue fields of unramified steps, and
 `is_square_by_search` and `square_mask_by_search` decide squareness and
 square classes over 2-adic towers by exhaustive search, against the
-library's quadratic-defect reduction.
+library's quadratic-defect reduction, and `det_by_cofactors` is the
+cofactor-expansion determinant that the library's elimination in `norm` is
+compared against.
 """
 
 import random
@@ -582,7 +584,7 @@ def square_class_group_by_full_pool(K: LocalField) -> list[PadicElement]:
     for cand in chain(pool, islice(_square_class_pool(K), 1, None)):
         if cand.is_zero():
             continue
-        vec, _ = _reduce(rows, _class_vector(cand))
+        vec, _ = _reduce(rows, _class_vector(K, cand.nums, cand.den))
         if vec:
             rows[vec.bit_length() - 1] = (vec, 0)
             basis.append(cand)
@@ -639,3 +641,20 @@ def square_mask_by_search(x: PadicElement, basis) -> int | None:
         if is_square_by_search(prod_elem):
             return mask
     return None
+
+
+# -- determinants by cofactor expansion ---------------------------------------------
+
+
+def det_by_cofactors(m: list) -> PadicElement:
+    """Determinant of a square matrix of field elements by cofactor
+    expansion along the first row: d! products for size d."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0].field.zero()
+    for j, a in enumerate(m[0]):
+        if a.is_zero():
+            continue
+        term = a * det_by_cofactors([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total - term if j % 2 else total + term
+    return total

@@ -422,17 +422,29 @@ def test_field_spec_errors_have_paths():
 
 def test_cli_caches_are_bounded(monkeypatch, capsys):
     errors = []
-    for k in range(CACHE_SIZE + 12):
-        spec = {"p": 3, "steps": [{"kind": "eisenstein", "poly": [3 * (3 * k + 1), 0]}]}
-        assert cli._build(cli._check_field, spec, "field", errors) is not None
-        parse_element(str(k), LocalField.qp(3))
+
+    def field_spec(k):
+        return {"p": 3, "steps": [{"kind": "eisenstein", "poly": [3 * (3 * k + 1), 0]}]}
+
+    def send(k):
         assert _run_stdin(monkeypatch, doc({"type": "snf", "matrix": [[k]]}), "--seed", str(k)) == 0
+
+    for k in range(CACHE_SIZE + 12):
+        assert cli._build(cli._check_field, field_spec(k), "field", errors) is not None
+        parse_element(str(k), LocalField.qp(3))
+        send(k)
     assert errors == []
     assert capsys.readouterr().out.count('"version": 1') == CACHE_SIZE + 12
-    assert len(cli._BUILT[cli._check_field]) == CACHE_SIZE
-    assert len(cli._ARGS) == CACHE_SIZE and ("-", "--seed", str(CACHE_SIZE + 11)) in cli._ARGS
-    info = cli._evaluate.cache_info()
-    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+    newest = CACHE_SIZE + 11
+    for cache, repeat in [
+            (cli._resolve, lambda: cli._build(cli._check_field, field_spec(newest), "field", errors)),
+            (cli._evaluate, lambda: parse_element(str(newest), LocalField.qp(3))),
+            (cli._parse_args, lambda: send(newest))]:
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+        repeat()
+        assert cache.cache_info().hits == info.hits + 1
+        assert cache.cache_info().misses == info.misses
 
 
 def test_a_repeated_bad_field_spec_is_reported_at_each_path():
@@ -478,8 +490,8 @@ def test_group_module_and_subgroup_caches_are_bounded():
                           group)
         assert cli._build(cli._check_subgroup, [0] * (k + 1) + [32], "subgroup", errors, group)
     assert errors == []
-    for check in (cli._check_group, cli._check_module, cli._check_subgroup):
-        assert len(cli._BUILT[check]) <= CACHE_SIZE
+    info = cli._resolve.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
 
 
 def test_a_repeated_spec_is_resolved_once_whatever_its_key_order():
@@ -500,6 +512,56 @@ def test_a_repeated_spec_is_resolved_once_whatever_its_key_order():
                                      "relations": [[2, 0], [0, 4]]}, "module", errors,
                  other).group is other
     assert build(cli._check_subgroup, [0, 4], "subgroup", errors, other).parent is other
+
+
+def test_a_tuple_in_a_spec_is_read_as_its_array():
+    # run takes Python objects; a spec is read back from its JSON text
+    steps = ({"kind": "eisenstein", "poly": (-5, 0)},)
+    job = {"type": "square-class", "field": {"p": 5, "steps": steps}, "elements": ["t1"]}
+    results, errors = run(doc(job))
+    assert errors is None
+    assert results == run(doc({**job, "field": json.loads(json.dumps(job["field"]))}))[0]
+
+
+def _library_caches():
+    """Every lru_cache that a module or class of the library binds, by the
+    qualified name of the function it wraps, or by where it is bound when
+    that function lies outside the library."""
+    found = {}
+    for name, module in sorted(sys.modules.items()):
+        if name != "chatelet" and not name.startswith("chatelet."):
+            continue
+        owners = [module] + [v for v in vars(module).values()
+                             if isinstance(v, type) and v.__module__ == name]
+        for owner in owners:
+            for attr, value in vars(owner).items():
+                value = getattr(value, "__func__", value)
+                if hasattr(value, "cache_info"):
+                    found[value] = (f"{value.__module__}.{value.__qualname__}"
+                                    if value.__module__.startswith("chatelet.")
+                                    else f"{name}.{attr}")
+    return {label: cache for cache, label in found.items()}
+
+
+@pytest.mark.parametrize("workload", ["local-verdicts", "group-cohomology", "snf-dense"])
+def test_a_benchmark_pass_evicts_nothing(workload, monkeypatch, capsys):
+    caches = _library_caches()
+    assert set(caches) == {
+        "chatelet.cli._evaluate", "chatelet.cli._parse_args", "chatelet.cli._resolve",
+        "chatelet.cohomology.h0", "chatelet.cohomology.h1", "chatelet.modules.hom_module",
+        "chatelet.padic._class_vector", "chatelet.padic.LocalField.make",
+        "chatelet.surfaces._descent_verdicts"}
+    for cache in caches.values():
+        cache.cache_clear()
+    path = Path(__file__).parents[1] / "perfbench" / "docs" / f"{workload}.jsonl"
+    for line in path.read_text().splitlines():
+        _run_stdin(monkeypatch, json.loads(line)["doc"])
+        capsys.readouterr()
+    for label, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE, label
+        assert info.misses == info.currsize, (label, info)
+    assert caches["chatelet.cli._parse_args"].cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("job, message", [

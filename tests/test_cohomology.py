@@ -37,7 +37,7 @@ from chatelet.modules import (
     restrict_module,
     trivial_module,
 )
-from chatelet.padic import LocalField, is_square
+from chatelet.padic import LocalField, _class_vector, is_square
 from chatelet.surfaces import _descent_verdicts
 from helpers import (
     h1_cyclic,
@@ -257,7 +257,10 @@ def test_padic_caches_are_bounded():
     for n in range(CACHE_SIZE + 12):
         x = K.integer(n) + K.gen(0)
         is_square(x)
-    assert len(K._square_cache) == CACHE_SIZE
+    info = _class_vector.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+    is_square(x)
+    assert _class_vector.cache_info().hits == info.hits + 1
 
 
 def test_descent_verdict_cache_is_bounded():

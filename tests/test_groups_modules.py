@@ -295,6 +295,14 @@ def test_module_axioms_enforced():
     GModule(C4, 1, [(5,)], [IntMatrix([[pow(2, k, 5)]]) for k in range(4)]).validate()
 
 
+def test_non_integer_relations_are_refused():
+    # int() would truncate (2.5,) to (2,), and H^1 would read Z/2
+    with pytest.raises(TypeError):
+        trivial_module(C2, relations=[(2.5,)])
+    with pytest.raises(TypeError):
+        FpAbGroup(1, [("2",)])
+
+
 def test_regular_module():
     R = regular_module(symmetric_group(3))
     R.validate()

@@ -58,6 +58,15 @@ def test_snf_known_values():
     assert dec.diagonal == (0, 0)
 
 
+def test_non_integer_entries_are_refused():
+    # int() would truncate these: the Smith form of [[2.9]] would read (2,)
+    with pytest.raises(TypeError):
+        smith_normal_form(IntMatrix([[2.9]]))
+    with pytest.raises(TypeError):
+        IntMatrix([[2.7, "3"]])
+    assert IntMatrix([[True, -3]]).rows == ((1, -3),)
+
+
 def test_snf_decomposition_property():
     rng = random.Random(2024)
     for _ in range(150):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import inf, isqrt
@@ -11,6 +12,7 @@ from chatelet.padic import (
     P_LIMIT,
     LocalField,
     PadicElement,
+    _det,
     _is_prime,
     becomes_square,
     embed,
@@ -21,6 +23,7 @@ from chatelet.padic import (
     valuation,
 )
 from helpers import (
+    det_by_cofactors,
     is_square_by_search,
     poly_irreducible_by_enumeration,
     reference_mul,
@@ -196,6 +199,41 @@ def test_norm_of_uniformizer_in_ramified_step_over_extension():
     # norm is transitive through the tower
     x = tower.gen(1) + tower.gen(0) + 2
     assert norm(tower, q3, x) == norm(k, q3, norm(tower, k, x))
+
+
+def test_det_by_elimination_matches_cofactor_expansion(monkeypatch):
+    rng = random.Random(12)
+    q3 = LocalField.qp(3)
+    # sparse rational matrices, some singular, so that pivots must be sought
+    for size in range(1, 8):
+        for _ in range(4):
+            m = [[q3.rational(Fraction(rng.choice([0, 0, 1, -2, 3]), rng.choice([1, 2, 9])))
+                  for _ in range(size)] for _ in range(size)]
+            assert _det(m) == det_by_cofactors(m)
+    k = q3.extend_unramified([1, 0])
+    towers = [(q3, q3.extend_eisenstein([-3] + [0] * (d - 1))) for d in range(2, 8)]
+    towers += [(k, k.extend_eisenstein([-3] + [0] * (d - 1))) for d in range(2, 5)]
+    for base, field in towers:
+        n = len(field._monomials)
+        elements = [field.zero(), field.uniformizer(), field.one() + field.uniformizer() ** 2]
+        elements += [field.from_coords([rng.randint(-4, 4) for _ in range(n)])
+                     for _ in range(3)]
+        ours = [norm(field, base, x) for x in elements]
+        with monkeypatch.context() as patch:
+            patch.setattr("chatelet.padic._det", det_by_cofactors)
+            assert [norm(field, base, x) for x in elements] == ours
+
+
+def test_norm_of_degree_twelve_is_not_factorial():
+    # cofactor expansion takes 12! products here
+    q3 = LocalField.qp(3)
+    field = q3.extend_eisenstein([-3] + [0] * 11)
+    rng = random.Random(5)
+    x = field.from_coords([rng.randint(-9, 9) for _ in range(12)])
+    started = time.perf_counter()
+    norm(field, q3, x)
+    assert time.perf_counter() - started < 1.0
+    assert norm(field, q3, field.uniformizer()) == q3.integer(-3)
 
 
 def test_norm_requires_prefix():
