@@ -24,9 +24,9 @@ degree and reads the image's coordinates in the target.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from operator import add, sub
-from typing import Callable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup, breadth_first_edges
 from .intmat import (

@@ -14,8 +14,7 @@ route and reports witnesses either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cohomology import CohomologyGroup, h1
 from .groups import FiniteGroup, Subgroup
@@ -31,6 +30,7 @@ from .modules import (
     ind_unit,
     restrict_module,
 )
+from .values import Value
 
 
 class ExtensionClass:
@@ -170,8 +170,7 @@ def scaled_map(f: GModuleMap, n: int) -> GModuleMap | None:
         return None
 
 
-@dataclass
-class Lemma52Result:
+class Lemma52Result(Value):
     """Outcome of the commuting-square check for one subgroup datum.
 
     holds: whether both routes agreed on every generator class.
@@ -183,12 +182,17 @@ class Lemma52Result:
         by the two routes in Ext^1(P, R).
     """
 
-    holds: bool
-    norm_multiple_equivariant: bool
-    index: int
-    witnesses: list[tuple[Vector | None, Vector]]
-    source_invariants: tuple[int, ...]
-    target_invariants: tuple[int, ...]
+    __slots__ = ("holds", "norm_multiple_equivariant", "index", "witnesses",
+                 "source_invariants", "target_invariants")
+
+    def __init__(self, holds: bool, norm_multiple_equivariant: bool, index: int, witnesses: list,
+                 source_invariants: tuple[int, ...], target_invariants: tuple[int, ...]):
+        self.holds = holds
+        self.norm_multiple_equivariant = norm_multiple_equivariant
+        self.index = index
+        self.witnesses = witnesses
+        self.source_invariants = source_invariants
+        self.target_invariants = target_invariants
 
 
 def lemma52_check(H: Subgroup, P: GModule, Q: GModule, R: GModule,

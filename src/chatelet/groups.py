@@ -17,8 +17,8 @@ at |G| cosets.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from itertools import permutations
-from typing import Iterable, Sequence
 
 
 class FiniteGroup:

@@ -17,11 +17,12 @@ elimination (`_bareiss`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import prod
 from operator import index, mul
-from typing import Iterable, Sequence
+
+from .values import FrozenValue
 
 Vector = tuple[int, ...]
 
@@ -204,13 +205,13 @@ def block_diagonal(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(out, ncols=total_c)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(FrozenValue):
     """U @ A @ V == S with U, V unimodular and S in Smith normal form."""
 
-    S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    __slots__ = ("S", "U", "V")
+
+    def __init__(self, S: IntMatrix, U: IntMatrix, V: IntMatrix):
+        self._freeze(S, U, V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -12,10 +12,10 @@ cohomology layer does.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import product
 from operator import index
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .groups import FiniteGroup, Subgroup, cyclic_group
 from .intmat import (

@@ -43,15 +43,15 @@ in the K-class of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, inf, lcm
-from typing import Sequence
 
 from .intmat import _bareiss
 from .modules import CACHE_SIZE
+from .values import FrozenValue
 
 
 # every p a field accepts is below this bound, where `_is_prime` is exact
@@ -167,11 +167,20 @@ def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
     return tuple(tuple(row) for row in table), den
 
 
-@dataclass(frozen=True)
-class _Step:
-    kind: str      # "unramified" or "eisenstein"
-    coeffs: tuple  # ascending lower coefficients of the monic minimal polynomial,
-                   # as elements of the field below
+def _exact(q) -> Fraction:
+    """q as a Fraction; a float is refused, as Fraction reads its binary value."""
+    if isinstance(q, float):
+        raise TypeError(f"float {q!r} is not exact; pass an int, a Fraction or a string")
+    return Fraction(q)
+
+
+class _Step(FrozenValue):
+    """A tower step: its kind and the ascending lower coefficients of its polynomial."""
+
+    __slots__ = ("kind", "coeffs")
+
+    def __init__(self, kind: str, coeffs: tuple):
+        self._freeze(kind, coeffs)
 
 
 class LocalField:
@@ -373,7 +382,7 @@ class LocalField:
         if type(q) is int:
             nums[0] = q
             return PadicElement(self, nums, 1)
-        q = Fraction(q)
+        q = _exact(q)
         nums[0] = q.numerator
         return PadicElement(self, nums, q.denominator)
 
@@ -389,7 +398,7 @@ class LocalField:
         return PadicElement(self, [int(k == m) for k in range(len(self._monomials))], 1)
 
     def from_coords(self, coords: Sequence) -> "PadicElement":
-        vals = [Fraction(c) for c in coords]
+        vals = [_exact(c) for c in coords]
         if len(vals) != len(self._monomials):
             raise ValueError("wrong number of coordinates")
         den = lcm(*(c.denominator for c in vals))

@@ -22,7 +22,6 @@ trace names every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -31,6 +30,7 @@ from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
 from .modules import CACHE_SIZE, GModule, chatelet_picard_module
 from .padic import LocalField, PadicElement, _is_prefix, becomes_square, is_square
+from .values import FrozenValue, Value
 
 
 _CONVENTIONS = (
@@ -49,54 +49,48 @@ def _is_rational_square(q: Fraction) -> bool:
     return rn * rn == q.numerator and rd * rd == q.denominator
 
 
-@dataclass(frozen=True)
-class ChateletSurface:
+class ChateletSurface(FrozenValue):
     """A conic bundle surface over a p-adic base field, split presentation."""
 
-    base: LocalField
-    d: PadicElement
-    roots: tuple
+    __slots__ = ("base", "d", "roots")
 
-    def __post_init__(self):
-        if self.d.field != self.base:
+    def __init__(self, base: LocalField, d: PadicElement, roots: tuple):
+        if d.field != base:
             raise ValueError("d must live in the base field")
-        if self.d.is_zero() or is_square(self.d):
+        if d.is_zero() or is_square(d):
             raise ValueError("d must be a nonsquare of the base field")
-        roots = tuple(self.roots)
-        object.__setattr__(self, "roots", roots)
+        roots = tuple(roots)
         if len(roots) % 2 != 0 or len(roots) < 4:
             raise ValueError("need an even number of roots, at least four")
         for e in roots:
-            if not isinstance(e, PadicElement) or e.field != self.base:
+            if not isinstance(e, PadicElement) or e.field != base:
                 raise ValueError("roots must live in the base field")
             if e.is_zero():
                 raise ValueError("roots must be nonzero")
         if len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct")
+        self._freeze(base, d, roots)
 
     @property
     def half_degree(self) -> int:
         return len(self.roots) // 2
 
 
-@dataclass(frozen=True)
-class RationalChateletSurface:
+class RationalChateletSurface(FrozenValue):
     """The same shape of surface with rational coefficients (global mode)."""
 
-    d: Fraction
-    roots: tuple
+    __slots__ = ("d", "roots")
 
-    def __post_init__(self):
-        d = Fraction(self.d)
-        object.__setattr__(self, "d", d)
-        roots = tuple(Fraction(e) for e in self.roots)
-        object.__setattr__(self, "roots", roots)
+    def __init__(self, d: Fraction, roots: tuple):
+        d = Fraction(d)
+        roots = tuple(Fraction(e) for e in roots)
         if d == 0 or _is_rational_square(d):
             raise ValueError("d must be a rational nonsquare")
         if len(roots) % 2 != 0 or len(roots) < 4:
             raise ValueError("need an even number of roots, at least four")
         if any(e == 0 for e in roots) or len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct and nonzero")
+        self._freeze(d, roots)
 
     @property
     def half_degree(self) -> int:
@@ -178,18 +172,23 @@ def _verdict(m: CohMap) -> str:
     return "NEITHER"
 
 
-@dataclass
-class AnalysisReport:
-    base: str
-    extension: str
-    degree: int
-    half_degree: int
-    degenerate: object          # True, False, or None when undetermined
-    brauer_invariants: object   # tuple of invariants or None when skipped
-    verdicts: dict
-    rule_trace: list
-    assumptions: list
-    conventions: list
+class AnalysisReport(Value):
+    __slots__ = ("base", "extension", "degree", "half_degree", "degenerate",
+                 "brauer_invariants", "verdicts", "rule_trace", "assumptions", "conventions")
+
+    def __init__(self, base: str, extension: str, degree: int, half_degree: int,
+                 degenerate: bool | None, brauer_invariants: tuple | None, verdicts: dict,
+                 rule_trace: list, assumptions: list, conventions: list):
+        self.base = base
+        self.extension = extension
+        self.degree = degree
+        self.half_degree = half_degree
+        self.degenerate = degenerate
+        self.brauer_invariants = brauer_invariants
+        self.verdicts = verdicts
+        self.rule_trace = rule_trace
+        self.assumptions = assumptions
+        self.conventions = conventions
 
     def as_dict(self) -> dict:
         return {

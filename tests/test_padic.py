@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import inf, isqrt
@@ -459,6 +460,26 @@ def test_rationals_hash_and_compare_as_the_number(field, q):
     x = field.rational(q)
     assert x == q and hash(x) == hash(q)
     assert x == field.rational(Fraction(q)) and hash(x) == hash(Fraction(q))
+
+
+def test_floats_are_refused_and_exact_scalars_kept():
+    # Fraction(0.1) is 3602879701896397 / 2^55, which would make the element
+    # a square in Q_5; a float is refused instead, as the integer paths do
+    for field in [LocalField.qp(5), DEG8]:
+        n = len(field._monomials)
+        for bad in (0.1, 2.0, float("inf")):
+            with pytest.raises(TypeError):
+                field.rational(bad)
+            with pytest.raises(TypeError):
+                field.from_coords([1] * (n - 1) + [bad])
+            with pytest.raises(TypeError):
+                field.one() + bad
+        tenth = field.rational(Fraction(1, 10))
+        for q in ("1/10", "0.1", Decimal("0.1"), Fraction(2, 20)):
+            assert field.rational(q) == tenth
+        assert field.rational(True) == field.one()
+        assert field.from_coords(["1/10"] + [0] * (n - 1)) == tenth
+    assert not is_square(LocalField.qp(5).rational("0.1"))
 
 
 def test_inverse_of_zero_raises():
