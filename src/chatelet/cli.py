@@ -94,6 +94,13 @@ MAX_TABLE_ORDER = 128
 # below the interpreter's recursion limit
 MAX_NESTING = 100
 
+# largest rank of a trivial or explicit module
+MAX_MODULE_RANK = 12
+
+# the group kinds built from a size n, each with the largest n it admits
+_SIZED_GROUPS = {"cyclic": (cyclic_group, 64), "dihedral": (dihedral_group, 16),
+                 "symmetric": (symmetric_group, 4)}
+
 
 def _bits(value) -> int:
     """The largest bit length among the numerators and denominator of an element."""
@@ -320,11 +327,6 @@ def _as_matrix(value, path, errors, square=False):
     return IntMatrix(out, ncols=width)
 
 
-# the group kinds built from a size n, each with the largest n it admits
-_SIZED_GROUPS = {"cyclic": (cyclic_group, 64), "dihedral": (dihedral_group, 16),
-                 "symmetric": (symmetric_group, 4)}
-
-
 def _check_group(spec, path, errors):
     obj = _as_object(spec, path, errors)
     if obj is None:
@@ -370,7 +372,7 @@ def _check_module(spec, group, path, errors):
             return None
         return module
     rank = _as_int(obj.get("rank", 1 if kind == "trivial" else None), f"{path}.rank",
-                   errors, lo=1, hi=12)
+                   errors, lo=1, hi=MAX_MODULE_RANK)
     matrices = _build_action(obj, group, rank, path, errors) if kind == "explicit" else ()
     if rank is None or matrices is None:
         return None

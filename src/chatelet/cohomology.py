@@ -360,11 +360,16 @@ def _cohomology_map(degree: int, source: tuple[FiniteGroup, GModule],
     return CohMap(src, dst, matrix, kind)
 
 
+def _parent_of(H: Subgroup, M: GModule) -> FiniteGroup:
+    """H's parent group, which M must be a module over."""
+    if M.group != H.parent:
+        raise ValueError("module is not over the subgroup's parent")
+    return H.parent
+
+
 def restriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
     """H^d(G, M) -> H^d(H, M restricted), by restricting cocycles."""
-    G = H.parent
-    if M.group != G:
-        raise ValueError("module is not over the subgroup's parent")
+    G = _parent_of(H, M)
 
     def restrict(cocycle: Cocycle) -> dict[int, Vector]:
         return {i: tuple(cocycle[H.embed(i)]) for i in H.group.elements()}
@@ -380,9 +385,7 @@ def corestriction_map(H: Subgroup, M: GModule, degree: int = 1) -> CohMap:
     r_j . c(h), where g r_i = r_j h splits through the subgroup; in degree
     zero it is the norm sum over coset representatives.
     """
-    G = H.parent
-    if M.group != G:
-        raise ValueError("module is not over the subgroup's parent")
+    G = _parent_of(H, M)
     reps = H.left_coset_reps()
 
     def norm(v) -> Vector:

@@ -292,14 +292,8 @@ def trivial_module(G: FiniteGroup, rank: int = 1,
 
 def regular_module(G: FiniteGroup) -> GModule:
     """The group ring Z[G] with the left translation action."""
-    n = G.order
-    mats = []
-    for g in range(n):
-        rows = [[0] * n for _ in range(n)]
-        for h in range(n):
-            rows[G.mul(g, h)][h] = 1
-        mats.append(IntMatrix._wrap(rows, n))
-    return GModule(G, n, (), mats, name=f"Z[{G.name}]", check=False)
+    return GModule(G, G.order, (), _permutation_matrices(G.table, G.order),
+                   name=f"Z[{G.name}]", check=False)
 
 
 def permutation_module(G: FiniteGroup, perms: Sequence[Sequence[int]],
@@ -320,13 +314,19 @@ def permutation_module(G: FiniteGroup, perms: Sequence[Sequence[int]],
             gs = G.mul(g, s)
             if any(perms[g][perms[s][x]] != perms[gs][x] for x in range(size)):
                 raise ValueError("permutations do not define a group action")
+    return GModule(G, size, (), _permutation_matrices(perms, size), name=name, check=False)
+
+
+def _permutation_matrices(perms: Sequence[Sequence[int]], size: int) -> list[IntMatrix]:
+    """The 0/1 matrix of each permutation of range(size), sending basis
+    vector x to basis vector perm[x]."""
     mats = []
-    for g in G.elements():
+    for perm in perms:
         rows = [[0] * size for _ in range(size)]
-        for x in range(size):
-            rows[perms[g][x]][x] = 1
-        mats.append(IntMatrix(rows, ncols=size))
-    return GModule(G, size, (), mats, name=name, check=False)
+        for x, y in enumerate(perm):
+            rows[y][x] = 1
+        mats.append(IntMatrix._wrap(rows, size))
+    return mats
 
 
 def chatelet_picard_module() -> GModule:

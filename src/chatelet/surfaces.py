@@ -25,11 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 from .cohomology import CohMap, CohomologyGroup, h1
 from .intmat import IntMatrix
 from .modules import CACHE_SIZE, GModule, chatelet_picard_module
-from .padic import LocalField, PadicElement, _is_prefix, becomes_square, is_square
+from .padic import LocalField, PadicElement, _exact, _is_prefix, becomes_square, is_square
 from .values import FrozenValue, Value
 
 
@@ -49,7 +50,25 @@ def _is_rational_square(q: Fraction) -> bool:
     return rn * rn == q.numerator and rd * rd == q.denominator
 
 
-class ChateletSurface(FrozenValue):
+class _Surface(FrozenValue):
+    """The shape both surface classes share: y^2 - d z^2 = (x - e_1) ... (x - e_n)
+    with n even and at least four; the half degree is n / 2."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _even_roots(roots) -> tuple:
+        roots = tuple(roots)
+        if len(roots) % 2 != 0 or len(roots) < 4:
+            raise ValueError("need an even number of roots, at least four")
+        return roots
+
+    @property
+    def half_degree(self) -> int:
+        return len(self.roots) // 2
+
+
+class ChateletSurface(_Surface):
     """A conic bundle surface over a p-adic base field, split presentation."""
 
     __slots__ = ("base", "d", "roots")
@@ -59,9 +78,7 @@ class ChateletSurface(FrozenValue):
             raise ValueError("d must live in the base field")
         if d.is_zero() or is_square(d):
             raise ValueError("d must be a nonsquare of the base field")
-        roots = tuple(roots)
-        if len(roots) % 2 != 0 or len(roots) < 4:
-            raise ValueError("need an even number of roots, at least four")
+        roots = self._even_roots(roots)
         for e in roots:
             if not isinstance(e, PadicElement) or e.field != base:
                 raise ValueError("roots must live in the base field")
@@ -71,43 +88,41 @@ class ChateletSurface(FrozenValue):
             raise ValueError("roots must be distinct")
         self._freeze(base, d, roots)
 
-    @property
-    def half_degree(self) -> int:
-        return len(self.roots) // 2
 
-
-class RationalChateletSurface(FrozenValue):
-    """The same shape of surface with rational coefficients (global mode)."""
+class RationalChateletSurface(_Surface):
+    """The same shape of surface with rational coefficients (global mode);
+    d and the roots are read exactly, so a float is refused."""
 
     __slots__ = ("d", "roots")
 
     def __init__(self, d: Fraction, roots: tuple):
-        d = Fraction(d)
-        roots = tuple(Fraction(e) for e in roots)
+        d = _exact(d)
+        roots = tuple(map(_exact, roots))
         if d == 0 or _is_rational_square(d):
             raise ValueError("d must be a rational nonsquare")
-        if len(roots) % 2 != 0 or len(roots) < 4:
-            raise ValueError("need an even number of roots, at least four")
+        roots = self._even_roots(roots)
         if any(e == 0 for e in roots) or len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct and nonzero")
         self._freeze(d, roots)
-
-    @property
-    def half_degree(self) -> int:
-        return len(self.roots) // 2
 
 
 def picard_module(surface) -> GModule:
     """The rank-two sign-action lattice whose degree-one cohomology carries
     the descent classes; only modeled for half degree two."""
-    if surface.half_degree != 2:
-        raise ValueError("the lattice model is only available for half degree two")
-    return chatelet_picard_module()
+    return _descent_h1(surface.half_degree).module
 
 
 def brauer_h1(surface) -> CohomologyGroup:
     """Degree-one cohomology of the descent lattice: (Z/2)^2 for half degree two."""
-    module = picard_module(surface)
+    return _descent_h1(surface.half_degree)
+
+
+def _descent_h1(half_degree: int) -> CohomologyGroup:
+    """H^1 of the descent lattice of a surface of this half degree: every
+    reader of the model's cohomology comes here."""
+    if half_degree != 2:
+        raise ValueError("the lattice model is only available for half degree two")
+    module = chatelet_picard_module()
     return h1(module.group, module)
 
 
@@ -125,37 +140,36 @@ def _descent_verdicts(n: int) -> tuple[tuple, tuple[str, str]]:
     """The invariants of the half-degree-two descent classes and the verdicts
     of restriction and corestriction along a degree-n extension.  Both
     depend on n alone, so the exact engine settles each degree once."""
-    module = chatelet_picard_module()
-    res, cor = _descent_maps(h1(module.group, module), n)
+    res, cor = _descent_maps(_descent_h1(2), n)
     return res.source.invariants, (_verdict(res), _verdict(cor))
 
 
-def _nondegenerate_degree(surface: ChateletSurface, L: LocalField) -> int:
-    n = _extension_degree(surface.base, L)
-    if becomes_square(surface.d, L):
+def _local_evidence(surface: ChateletSurface, L: LocalField) -> tuple[int, bool]:
+    """The degree of L over the surface's base field, and whether d becomes
+    a square over L."""
+    if not _is_prefix(surface.base, L):
+        raise ValueError("L is not built as a tower extension of the base field")
+    return L.degree // surface.base.degree, becomes_square(surface.d, L)
+
+
+def _nondegenerate_maps(surface: ChateletSurface, L: LocalField) -> tuple[CohMap, CohMap]:
+    """Restriction and corestriction of the descent classes along L, which
+    must keep d a nonsquare."""
+    n, degenerate = _local_evidence(surface, L)
+    if degenerate:
         raise ValueError("d becomes a square over L; the descent group collapses")
-    return n
+    return _descent_maps(brauer_h1(surface), n)
 
 
 def restriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Restriction of descent classes along L; requires d to stay a nonsquare,
     which keeps the degree-two descent group intact over L."""
-    n = _nondegenerate_degree(surface, L)
-    return _descent_maps(brauer_h1(surface), n)[0]
+    return _nondegenerate_maps(surface, L)[0]
 
 
 def corestriction_on_h1(surface: ChateletSurface, L: LocalField) -> CohMap:
     """Corestriction back down from L: multiplication by the extension degree."""
-    n = _nondegenerate_degree(surface, L)
-    return _descent_maps(brauer_h1(surface), n)[1]
-
-
-def _extension_degree(base: LocalField, L: LocalField) -> int:
-    if not _is_prefix(base, L):
-        raise ValueError("L is not built as a tower extension of the base field")
-    if L.degree % base.degree != 0:
-        raise RuntimeError("tower degrees are inconsistent")
-    return L.degree // base.degree
+    return _nondegenerate_maps(surface, L)[1]
 
 
 def _verdict(m: CohMap) -> str:
@@ -300,8 +314,7 @@ def analyze_local(surface: ChateletSurface, L: LocalField) -> AnalysisReport:
     Over a p-adic base the evidence is complete: whether d becomes a square
     over L is decided exactly, and the local pairing is perfect.
     """
-    n = _extension_degree(surface.base, L)
-    degenerate = becomes_square(surface.d, L)
+    n, degenerate = _local_evidence(surface, L)
     if degenerate and n % 2 != 0:
         raise RuntimeError("an odd degree extension cannot absorb a nonsquare")
     trace = ["degenerate_base_change" if degenerate else "nonsquare_class_survives_extension"]
@@ -319,8 +332,10 @@ def analyze_global(surface: RationalChateletSurface, degree: int, *,
     assert it; or a completion of the extension field may certify that d
     stays a nonsquare there.  A completion in which d becomes a square
     proves nothing and leaves the status undetermined.  The global pairing
-    is not assumed perfect.
+    is not assumed perfect.  The degree is read as an integer, so a float
+    is refused.
     """
+    degree = index(degree)
     if degree < 2:
         raise ValueError("extension degree must be at least two")
     trace: list = []

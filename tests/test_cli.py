@@ -1054,8 +1054,10 @@ def _places(value, place=()):
 
 
 # a value is replaced by one of every JSON type; integers stay within 2^64 of
-# zero and include the edges of the documented ranges
-_BOUNDARY_INTS = [0, 1, -1, 2, 4, 5, 12, 13, 16, 17, 64, 65, 128, 129,
+# zero and include each input limit of the CLI and the first value past it
+_LIMITS = (cli.MAX_MODULE_RANK, cli.MAX_TABLE_ORDER,
+           *(largest for _, largest in cli._SIZED_GROUPS.values()))
+_BOUNDARY_INTS = [0, 1, -1, 2, *sorted(b + k for b in _LIMITS for k in (0, 1)),
                   2 ** 63, 2 ** 64 - 59, 2 ** 64 - 1, 2 ** 64, -2 ** 64]
 _SCHEMA_WORDS = ["", "Q", "t1", "t2", "1/2", "0", "2^64", "cyclic", "table", "regular",
                  "explicit", "picard", "eisenstein", "unramified", "analyze", "snf"]

@@ -401,6 +401,14 @@ def test_maps_refuse_other_degrees(build, degree):
         build(H, M, degree)
 
 
+@pytest.mark.parametrize("build", [restriction_map, corestriction_map],
+                         ids=["restriction", "corestriction"])
+def test_maps_refuse_a_module_over_another_group(build):
+    G = cyclic_group(4)
+    with pytest.raises(ValueError, match="module is not over the subgroup's parent"):
+        build(Subgroup(G, [0, 2]), trivial_module(cyclic_group(2)))
+
+
 def test_induced_map_requires_full_equivariance():
     G = cyclic_group(4)
     M = index_two_sign_module(G, Subgroup(G, [0, 2]))

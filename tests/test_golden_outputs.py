@@ -7,11 +7,17 @@ hashed into one sha256 per document and compared with
 `tests/golden_digests.json`.  A change that is meant to keep every output
 byte for byte (a speed-up, a refactor) must pass this test unchanged.
 
+No benchmark document reaches global mode, a six-root surface or a refused
+surface, so the analyze documents named in `PINNED` (under `tests/docs`)
+are hashed the same way, one sha256 per document, against
+`tests/golden_pinned_digests.json`.
+
 After a change that alters output on purpose, rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
 
-and say in the change which documents moved.
+(which rewrites both digest files) and say in the change which documents
+moved.
 """
 
 import hashlib
@@ -25,6 +31,18 @@ from chatelet.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "perfbench" / "docs"
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+PINNED_DIR = Path(__file__).resolve().parent / "docs"
+PINNED_DIGESTS = Path(__file__).resolve().parent / "golden_pinned_digests.json"
+PINNED = (
+    "analyze_global_odd_degree",
+    "analyze_global_completion_certifies",
+    "analyze_global_completion_inconclusive",
+    "analyze_global_asserted_degenerate",
+    "analyze_global_no_evidence",
+    "analyze_six_roots_local",
+    "analyze_six_roots_global",
+    "analyze_invalid_surfaces",
+)
 MODES = (
     ["--format", "json"],
     ["--format", "text"],
@@ -45,6 +63,14 @@ def _submit(text: str, flags: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _digest(text: str) -> str:
+    """sha256 of the four runs of one document."""
+    h = hashlib.sha256()
+    for flags in MODES:
+        h.update(json.dumps(_submit(text, flags)).encode("utf-8"))
+    return h.hexdigest()
+
+
 def document_digests() -> dict[str, dict[str, str]]:
     """{workload: {document id: sha256 of its four runs}} over every document."""
     digests = {}
@@ -55,13 +81,15 @@ def document_digests() -> dict[str, dict[str, str]]:
                 if not line.strip():
                     continue
                 entry = json.loads(line)
-                text = json.dumps(entry["doc"])
-                h = hashlib.sha256()
-                for flags in MODES:
-                    h.update(json.dumps(_submit(text, flags)).encode("utf-8"))
-                table[str(entry["id"])] = h.hexdigest()
+                table[str(entry["id"])] = _digest(json.dumps(entry["doc"]))
         digests[path.stem] = table
     return digests
+
+
+def pinned_digests() -> dict[str, str]:
+    """{document name: sha256 of its four runs} over the pinned documents."""
+    return {name: _digest((PINNED_DIR / f"{name}.json").read_text(encoding="utf-8"))
+            for name in PINNED}
 
 
 def test_every_document_gives_the_committed_bytes():
@@ -74,8 +102,16 @@ def test_every_document_gives_the_committed_bytes():
         assert not moved, f"{workload}: documents {moved} changed output"
 
 
+def test_every_pinned_analyze_document_gives_the_committed_bytes():
+    expected = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))
+    got = pinned_digests()
+    assert got.keys() == expected.keys()
+    moved = [name for name in PINNED if got[name] != expected[name]]
+    assert not moved, f"documents {moved} changed output"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_outputs.py --record")
-    DIGESTS.write_text(json.dumps(document_digests(), indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    for path, digests in ((DIGESTS, document_digests()), (PINNED_DIGESTS, pinned_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

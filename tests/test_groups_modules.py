@@ -323,6 +323,12 @@ def test_permutation_module():
         permutation_module(G, [perms[0], perms[1], perms[1]])
 
 
+@pytest.mark.parametrize("G", [cyclic_group(5), symmetric_group(3), quaternion_group()],
+                         ids=["C5", "S3", "Q8"])
+def test_regular_module_is_the_permutation_module_of_the_table(G):
+    assert regular_module(G).action == permutation_module(G, G.table).action
+
+
 def test_chatelet_picard_module():
     P = chatelet_picard_module()
     P.validate()

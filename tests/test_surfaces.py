@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -203,6 +204,31 @@ def test_rational_surface_validation():
         RationalChateletSurface(Fraction(2), (1, 2, 3))
     with pytest.raises(ValueError):
         RationalChateletSurface(Fraction(2), (0, 1, 2, 3))
+
+
+def test_rational_surface_refuses_floats():
+    with pytest.raises(TypeError):
+        RationalChateletSurface(0.1, (1, 2, 3, 4))
+    with pytest.raises(TypeError):
+        RationalChateletSurface(2, (1, 2.5, 3, 4))
+    s = RationalChateletSurface("-5/7", (1, Fraction(1, 2), "3", Decimal("0.25")))
+    assert s.d == Fraction(-5, 7)
+    assert s.roots == (1, Fraction(1, 2), 3, Fraction(1, 4))
+
+
+def test_global_refuses_a_fractional_degree():
+    six = RationalChateletSurface(2, (1, 2, 3, 4, 6, 7))
+    with pytest.raises(TypeError):
+        analyze_global(six, 2.5)
+
+
+def test_global_refuses_a_float_degree_at_the_entry():
+    four = RationalChateletSurface(2, (1, 2, 3, 4))
+    # refused before any evidence is settled, even once degree 3 is cached
+    analyze_global(four, 3)
+    with pytest.raises(TypeError) as info:
+        analyze_global(four, 3.0)
+    assert info.traceback[-1].name == "analyze_global"
 
 
 def test_global_odd_degree_needs_no_evidence():
