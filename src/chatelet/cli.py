@@ -904,7 +904,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="reserved; no job type uses randomness")
     parser.add_argument("--trace", action="store_true",
-                        help="include rule traces and witness detail")
+                        help="include rule traces and witness detail in JSON "
+                             "output; text output is the same with or without it")
     return parser
 
 

@@ -9,9 +9,11 @@ C x in a relation lattice from the rows of one echelon per map whose first
 part vanishes, skipping a later map that its basis already satisfies.  The
 Smith form U * A * V = S, with U and V unimodular and S diagonal with each
 entry dividing the next, is built from alternating echelon sweeps.  It is
-computed where invariants are read (the cyclic decomposition of a
-subquotient, `cokernel_structure`) and by the public `kernel_basis` and
-`solve`.  Determinants and exact inverses come from fraction-free Bareiss
+computed where invariants are read (`cokernel_structure`, and the cyclic
+decomposition of a subquotient whose quotient is not trivial) and by the
+public `kernel_basis` and `solve`.  A trivial quotient is told apart by one
+echelon with no transform (`_spans`) and needs neither a Smith form nor an
+inverse.  Determinants and exact inverses come from fraction-free Bareiss
 elimination (`_bareiss`).
 """
 
@@ -566,6 +568,15 @@ def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int
     return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n))
 
 
+def _spans(vectors: Sequence[Vector], r: int) -> bool:
+    """Whether vectors of length r span all of Z^r: their reduced echelon
+    (`_echelon`, no transform) then has r pivots, each equal to 1."""
+    if len(vectors) < r:
+        return False
+    piv, _ = _echelon([list(v) for v in vectors], r)
+    return len(piv) == r and all(P[i] == 1 for i, P in enumerate(piv))
+
+
 class LatticeSubquotient:
     """The finitely generated abelian group (numerator lattice)/(denominator lattice).
 
@@ -573,9 +584,12 @@ class LatticeSubquotient:
     the denominator must be contained in the numerator.  The numerator is
     kept as its reduced echelon basis (`_echelon`), which gives the basis
     coordinates of every vector (`_coordinates`) and decides membership on
-    the way.  A Smith decomposition U X V = S of the denominator's basis
-    coordinates X then reads off the invariants, and the columns of U^-1
-    give the generators, inverted only when the generators are first read.
+    the way.  When the denominator's basis coordinates X span Z^r, r the
+    numerator's rank, the quotient is trivial: one echelon of X without a
+    transform says so (`_spans`), and there is nothing more to compute.
+    Otherwise a Smith decomposition U X V = S reads off the invariants, and
+    the columns of U^-1 give the generators, inverted only when the
+    generators are first read.
 
     Attributes:
         invariants: cyclic decomposition orders, torsion entries first in
@@ -598,14 +612,19 @@ class LatticeSubquotient:
             if x is None:
                 raise ValueError("denominator generator lies outside the numerator lattice")
             den_cols.append(x)
-        X = IntMatrix.from_columns(den_cols, nrows=r)
-        dec_x = smith_normal_form(X)
-        xdiag = dec_x.diagonal
-        full = [xdiag[i] if i < len(xdiag) else 0 for i in range(r)]
-        self._ux = dec_x.U
-        self._kept = [i for i in range(r) if full[i] != 1]
+        if _spans(den_cols, r):
+            # a trivial quotient: no Smith form, and no generator to invert for
+            self._ux = None
+            self._kept = full = []
+            self._generators: list[Vector] | None = []
+        else:
+            dec_x = smith_normal_form(IntMatrix.from_columns(den_cols, nrows=r))
+            xdiag = dec_x.diagonal
+            full = [xdiag[i] if i < len(xdiag) else 0 for i in range(r)]
+            self._ux = dec_x.U
+            self._kept = [i for i in range(r) if full[i] != 1]
+            self._generators = None
         self.invariants: tuple[int, ...] = tuple(full[i] for i in self._kept)
-        self._generators: list[Vector] | None = None
         self.order: int | None = prod(self.invariants) if all(self.invariants) else None
 
     @property
@@ -631,6 +650,8 @@ class LatticeSubquotient:
         y = _coordinates(self._basis, v, self.ambient_dim)
         if y is None:
             raise ValueError("vector not in the numerator lattice")
+        if not self._kept:
+            return ()
         w = self._ux.apply(y)
         return self.reduce_coords([w[i] for i in self._kept])
 

@@ -1,8 +1,11 @@
 """Tests for H^0, H^1, and the maps between them."""
 
 import random
+from unittest.mock import patch
 
 import pytest
+
+from chatelet import intmat
 
 from chatelet.cohomology import (
     CohMap,
@@ -106,6 +109,29 @@ def test_h1_trivial_action_is_hom_group():
 def test_h1_regular_module_vanishes():
     for G in (C2, cyclic_group(3), symmetric_group(3)):
         assert h1(G, regular_module(G)).is_trivial
+
+
+def test_a_trivial_h1_takes_no_smith_form_and_no_inverse():
+    """H^1(G, Z[G]) = 0 is decided by one echelon of the coboundaries: no
+    Smith form, and no inverse when its generators and coordinates are read.
+    A nontrivial H^1 still takes its one Smith form."""
+    cases = [(G, regular_module(G)) for G in (cyclic_group(4), symmetric_group(3),
+                                                 quaternion_group())]
+    sign = sign_over(2)
+    h1.cache_clear()
+    with patch.object(intmat, "smith_normal_form", wraps=intmat.smith_normal_form) as snf, \
+            patch.object(intmat, "unimodular_inverse",
+                         wraps=intmat.unimodular_inverse) as inverse:
+        for G, M in cases:
+            H = h1(G, M)
+            assert H.invariants == ()
+            assert H.generator_cocycles() == []
+            zero = {g: (0,) * M.rank for g in G.elements()}
+            assert H.coords_of_cocycle(zero) == ()
+        assert snf.call_count == 0
+        assert inverse.call_count == 0
+        assert h1(C2, sign).invariants == (2,)
+        assert snf.call_count == 1
 
 
 def test_h1_picard_module():

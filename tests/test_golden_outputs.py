@@ -7,9 +7,11 @@ hashed into one sha256 per document and compared with
 `tests/golden_digests.json`.  A change that is meant to keep every output
 byte for byte (a speed-up, a refactor) must pass this test unchanged.
 
-No benchmark document reaches global mode, a six-root surface or a refused
-surface, so the analyze documents named in `PINNED` (under `tests/docs`)
-are hashed the same way, one sha256 per document, against
+The documents named in `PINNED` (under `tests/docs`) reach what no
+benchmark document does: analyze jobs in global mode, on six-root
+surfaces or on refused surfaces, and the largest `h1` jobs, the regular
+module of a group of order 128 with and without a subgroup.  They are
+hashed the same way, one sha256 per document, against
 `tests/golden_pinned_digests.json`.
 
 After a change that alters output on purpose, rewrite the digests with
@@ -42,6 +44,8 @@ PINNED = (
     "analyze_six_roots_local",
     "analyze_six_roots_global",
     "analyze_invalid_surfaces",
+    "regular_h1_order_128",
+    "regular_h1_order_128_subgroup",
 )
 MODES = (
     ["--format", "json"],

@@ -342,19 +342,52 @@ def test_subquotient_coords_additive():
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_subquotient_membership_matches_solve(data):
+    """Membership, coordinates and lifts against `solve`, and the group
+    against the Smith diagonal of the denominator's coordinates over a
+    numerator basis that a Smith form of the numerator gives.  Half the
+    draws push the numerator's generators through a unimodular matrix for
+    the denominator, sometimes doubling one of them, so the quotient is
+    often trivial, the case decided without a Smith form."""
     n = data.draw(st.integers(1, 4), label="dim")
     vec = st.tuples(*[st.integers(-6, 6)] * n)
     num = data.draw(st.lists(vec, max_size=4), label="num")
     k = len(num)
     combo = st.tuples(*[st.integers(-3, 3)] * k)
     N = IntMatrix.from_columns(num, nrows=n)
-    den = [N.apply(c) for c in data.draw(st.lists(combo, max_size=3), label="den")]
+    if k and data.draw(st.booleans(), label="spanning"):
+        # column operations and a permutation: the columns of N W, W unimodular
+        den = [list(g) for g in num]
+        index = st.integers(0, k - 1)
+        for i, j, t in data.draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
+                                          max_size=6), label="column operations"):
+            if i != j:
+                den[i] = [a + t * b for a, b in zip(den[i], den[j])]
+        den = [tuple(den[i]) for i in data.draw(st.permutations(range(k)), label="order")]
+        if data.draw(st.booleans(), label="double"):
+            j = data.draw(index, label="doubled")
+            den[j] = tuple(2 * x for x in den[j])
+    else:
+        den = [N.apply(c) for c in data.draw(st.lists(combo, max_size=3), label="den")]
     D = IntMatrix.from_columns(den, nrows=n)
     q = LatticeSubquotient(n, num, den)
+
+    dec = smith_normal_form(N)
+    u_inv = unimodular_inverse(dec.U)
+    basis = [tuple(d * x for x in u_inv.col(i)) for i, d in enumerate(dec.diagonal) if d]
+    B = IntMatrix.from_columns(basis, nrows=n)
+    free, torsion = cokernel_structure(
+        IntMatrix.from_columns([solve(B, g) for g in den], nrows=len(basis)))
+    assert q.invariants == torsion + (0,) * free
+    assert q.order == (None if free else math.prod(torsion))
+    assert q.is_trivial == (not free and not torsion)
+    assert len(q.generators) == len(q.invariants)
+
     members = [N.apply(c) for c in data.draw(st.lists(combo, min_size=1, max_size=3),
                                               label="members")]
     probes = data.draw(st.lists(vec, min_size=1, max_size=4), label="probes")
-    for v in members + probes:
+    # a lattice short of Z^n misses one of the unit vectors
+    units = list(IntMatrix.identity(n).rows)
+    for v in members + probes + units:
         inside = solve(N, v) is not None
         assert q.contains(v) == inside
         if not inside:
@@ -363,6 +396,9 @@ def test_subquotient_membership_matches_solve(data):
     for v in members:
         back = q.lift(q.coords(v))
         assert solve(D, [a - b for a, b in zip(back, v)]) is not None
+    if q.is_trivial:
+        assert q.lift(()) == (0,) * n
+        assert all(q.coords(v) == () for v in members)
 
 
 # -- echelon lattices against the Smith-form paths ------------------------------------
