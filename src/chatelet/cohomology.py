@@ -356,7 +356,7 @@ def _cohomology_map(degree: int, source: tuple[FiniteGroup, GModule],
         raise ValueError("only degrees 0 and 1 are supported")
     src, dst = coh(*source), coh(*target)
     cols = [dst.coords_of_cocycle(transform(c)) for c in src.generator_cocycles()]
-    matrix = IntMatrix.from_columns(cols, nrows=len(dst.invariants))
+    matrix = IntMatrix._wrap_columns(cols, len(dst.invariants))
     return CohMap(src, dst, matrix, kind)
 
 
@@ -457,6 +457,6 @@ def dual_map(f: CohMap) -> CohMap:
                 raise ValueError("map is not well defined; dual does not exist")
             row.append((num // b[j]) % a[i])
         rows.append(row)
-    matrix = IntMatrix(rows, ncols=len(b))
+    matrix = IntMatrix._wrap(rows, len(b))
     return CohMap(dual_group(f.target), dual_group(f.source), matrix,
                   kind="transpose-dual")

@@ -36,11 +36,14 @@ class IntMatrix:
     safe to share.  Zero-row and zero-column shapes are allowed; the column
     count is kept explicitly so empty matrices still know their width.
 
-    The constructor, `from_columns`, `diagonal` and `scale` take entries from
-    outside and convert each through `operator.index`, which refuses floats,
-    strings and other non-integers, and reject ragged rows.  Results
-    built from entries that are already Python ints (`identity`, `zeros`,
-    sums, negations and products) go through `_wrap`, which does not check.
+    The public builders, the constructor, `from_columns`, `diagonal` and
+    `scale`, take entries from outside and convert each through
+    `operator.index`, which refuses floats, strings and other non-integers,
+    and reject ragged rows.  Results built from entries that are already
+    Python ints go through `_wrap` (or `_wrap_columns`), which does not
+    check: `identity`, `zeros`, sums, negations, products, `transpose`,
+    `hstack`, `vstack`, `block_diagonal`, `unimodular_inverse` and the
+    library's own matrices of coordinates.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -70,6 +73,12 @@ class IntMatrix:
         M.nrows = len(M.rows)
         M.ncols = ncols
         return M
+
+    @classmethod
+    def _wrap_columns(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
+        """A matrix whose columns are the given vectors of Python ints, each
+        of length nrows, taken as given."""
+        return cls._wrap(list(zip(*cols)) or [()] * nrows, len(cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -114,8 +123,7 @@ class IntMatrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-                         ncols=self.nrows)
+        return IntMatrix._wrap_columns(self.rows, self.ncols)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
@@ -182,7 +190,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     if any(a.nrows != m for a in mats):
         raise ValueError("row count mismatch in hstack")
     rows = [[x for a in mats for x in a.rows[i]] for i in range(m)]
-    return IntMatrix(rows, ncols=sum(a.ncols for a in mats))
+    return IntMatrix._wrap(rows, sum(a.ncols for a in mats))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -191,7 +199,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     n = mats[0].ncols
     if any(a.ncols != n for a in mats):
         raise ValueError("column count mismatch in vstack")
-    return IntMatrix([row for a in mats for row in a.rows], ncols=n)
+    return IntMatrix._wrap([row for a in mats for row in a.rows], n)
 
 
 def block_diagonal(mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -204,7 +212,7 @@ def block_diagonal(mats: Sequence[IntMatrix]) -> IntMatrix:
             out[r0 + i][c0:c0 + a.ncols] = list(a.rows[i])
         r0 += a.nrows
         c0 += a.ncols
-    return IntMatrix(out, ncols=total_c)
+    return IntMatrix._wrap(out, total_c)
 
 
 class SmithDecomposition(FrozenValue):
@@ -483,7 +491,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
         raise ValueError("matrix is singular")
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix([[d * x for x in row] for row in X], ncols=n)
+    return IntMatrix._wrap([[d * x for x in row] for row in X], n)
 
 
 def _lattice_basis(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, Vector]]:
@@ -522,7 +530,9 @@ def solution_lattice(dim: int, maps: Sequence[IntMatrix],
 
     The maps are intersected one at a time, starting from the standard
     basis of Z^dim.  For a map C and the current basis x_1..x_k, one
-    product C X, with the x_j as the columns of X, gives every image C x_j.
+    product C X, with the x_j as the columns of X, gives every image C x_j;
+    for the first map X is the identity, and the images are the columns of
+    C, taken with no product.
 
     From the second map on, a map whose images all lie in the relation
     lattice (are all zero, when there are no relations) keeps the basis as
@@ -544,7 +554,12 @@ def solution_lattice(dim: int, maps: Sequence[IntMatrix],
         if not basis:
             break
         m = C.nrows
-        CX = C @ IntMatrix._wrap(zip(*basis), len(basis))
+        if i:
+            CX = C @ IntMatrix._wrap(zip(*basis), len(basis))
+        elif C.ncols == dim:
+            CX = C  # the basis is still the identity
+        else:
+            raise ValueError(f"shape mismatch {C.shape} @ {(dim, dim)}")
         # the columns of C X; a map with no rows sends every x to ()
         images = list(zip(*CX.rows)) or [()] * len(basis)
         if i:
@@ -564,8 +579,13 @@ def reduce_mod(coords: Sequence[int], invariants: Sequence[int]) -> Vector:
 
 
 def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> Vector:
-    """The sum of c * v over coefficients c and vectors v of length n."""
-    return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n))
+    """The sum of c * v over coefficients c and vectors v of length n, one
+    pass over v per nonzero c."""
+    acc = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [s + c * x for s, x in zip(acc, v)]
+    return tuple(acc)
 
 
 def _spans(vectors: Sequence[Vector], r: int) -> bool:
@@ -580,7 +600,8 @@ def _spans(vectors: Sequence[Vector], r: int) -> bool:
 class LatticeSubquotient:
     """The finitely generated abelian group (numerator lattice)/(denominator lattice).
 
-    Both lattices live in Z^ambient_dim and are given by generating vectors;
+    Both lattices live in Z^ambient_dim and are given by generating vectors,
+    whose entries go through `operator.index` (a float raises TypeError);
     the denominator must be contained in the numerator.  The numerator is
     kept as its reduced echelon basis (`_echelon`), which gives the basis
     coordinates of every vector (`_coordinates`) and decides membership on
@@ -608,7 +629,7 @@ class LatticeSubquotient:
 
         den_cols = []
         for g in denominator_gens:
-            x = _coordinates(self._basis, g, ambient_dim)
+            x = _coordinates(self._basis, [*map(index, g)], ambient_dim)
             if x is None:
                 raise ValueError("denominator generator lies outside the numerator lattice")
             den_cols.append(x)
@@ -618,7 +639,7 @@ class LatticeSubquotient:
             self._kept = full = []
             self._generators: list[Vector] | None = []
         else:
-            dec_x = smith_normal_form(IntMatrix.from_columns(den_cols, nrows=r))
+            dec_x = smith_normal_form(IntMatrix._wrap_columns(den_cols, r))
             xdiag = dec_x.diagonal
             full = [xdiag[i] if i < len(xdiag) else 0 for i in range(r)]
             self._ux = dec_x.U

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from operator import index
 
-from .groups import FiniteGroup, Subgroup, cyclic_group
+from .groups import FiniteGroup, Subgroup, breadth_first_edges, cyclic_group
 from .intmat import (
     IntMatrix,
     LatticeSubquotient,
@@ -26,6 +26,7 @@ from .intmat import (
     _lattice_basis,
     block_diagonal,
     hstack,
+    reduce_mod,
     solution_lattice,
     vstack,
 )
@@ -180,7 +181,7 @@ class GModule:
 
     @property
     def rel_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.relations, nrows=self.rank)
+        return IntMatrix._wrap_columns(self.relations, self.rank)
 
     def coeff_group(self) -> FpAbGroup:
         """The underlying abelian group, forgetting the action."""
@@ -372,7 +373,7 @@ def _coset_blocks(H: Subgroup, g: int, block_of_h: Callable[[int], IntMatrix],
         block = block_of_h(H.locate(h_par))
         for a in range(rows):
             out[j * rows + a][i * cols:(i + 1) * cols] = block.rows[a]
-    return IntMatrix(out, ncols=n * cols)
+    return IntMatrix._wrap(out, n * cols)
 
 
 def induce_module(M: GModule, H: Subgroup) -> GModule:
@@ -428,7 +429,7 @@ def _flatten(F: IntMatrix) -> Vector:
 
 def _unflatten(flat: Sequence[int], rn: int, rm: int) -> IntMatrix:
     """The rn x rm matrix whose entry (i, j) is flat[i * rm + j]."""
-    return IntMatrix([flat[i * rm:(i + 1) * rm] for i in range(rn)], ncols=rm)
+    return IntMatrix._wrap([flat[i * rm:(i + 1) * rm] for i in range(rn)], rm)
 
 
 class HomModule(GModule):
@@ -437,6 +438,14 @@ class HomModule(GModule):
     Coordinates are with respect to a cyclic decomposition of the group of
     additive maps M -> N; `matrix_of` and `coords_of` convert between
     coordinate vectors and honest matrices.
+
+    The action g . f = g f g^-1 is conjugated out only for the generators s
+    of G: column i of act(s) holds the coordinates of s . f_i, one
+    coordinate solve per hom generator f_i.  Every other action matrix
+    follows along the breadth-first tree of G (`breadth_first_edges`) as
+    act(g s) = act(g) act(s), each column reduced modulo the invariants
+    (`reduce_mod`).  Reduced coordinates of a class are unique, so these
+    are the matrices that conjugating by every element would give.
     """
 
     __slots__ = ("hom_source", "hom_target", "_hom_subq")
@@ -458,23 +467,32 @@ class HomModule(GModule):
         # matrices that are zero as maps, every column in the target
         # relations: one relation in one column at a time
         zero = (0,) * rn
-        triv_gens = [_flatten(IntMatrix.from_columns(
-                         [nrel if k == j else zero for k in range(rm)], nrows=rn))
+        triv_gens = [_flatten(IntMatrix._wrap_columns(
+                         [nrel if k == j else zero for k in range(rm)], rn))
                      for j in range(rm) for nrel in target.relations]
 
         subq = LatticeSubquotient(B, hom_gens, triv_gens)
-        n = len(subq.invariants)
-        relations = _diagonal_relations(subq.invariants)
+        invariants = subq.invariants
+        n = len(invariants)
+        relations = _diagonal_relations(invariants)
 
-        mats = []
-        for g in G.elements():
-            cols = []
-            ag = target.act(g)
-            ag_inv = source.act(G.inv(g))
-            for gen in subq.generators:
-                conj = ag @ _unflatten(gen, rn, rm) @ ag_inv
-                cols.append(subq.coords(_flatten(conj)))
-            mats.append(IntMatrix.from_columns(cols, nrows=n))
+        # each action matrix is built as its transpose, whose row i is the
+        # coordinate vector of g . f_i; act(g s) = act(g) act(s) transposes
+        # to act(s)^T act(g)^T
+        on_gens = []
+        for s in G.generating_set():
+            a_s, a_s_inv = target.act(s), source.act(G.inv(s))
+            on_gens.append(IntMatrix._wrap(
+                [subq.coords(_flatten(a_s @ _unflatten(f, rn, rm) @ a_s_inv))
+                 for f in subq.generators], n))
+        transposes = [None] * G.order
+        transposes[G.identity] = IntMatrix.identity(n)
+        for g, t, gs, first in breadth_first_edges(G):
+            if first:
+                T = on_gens[t] @ transposes[g]
+                transposes[gs] = IntMatrix._wrap(
+                    [reduce_mod(row, invariants) for row in T.rows], n)
+        mats = [T.transpose() for T in transposes]
 
         super().__init__(G, n, relations, mats,
                          name=f"Hom({source.name},{target.name})", check=False)

@@ -15,7 +15,11 @@ solves them with whole-matrix arithmetic and Smith kernels,
 presentations close, `word_value` evaluates a relator word in its group,
 `solution_lattice_by_smith` is the
 Smith-kernel lattice solve that the library's echelon version is compared
-against, the `*_all_pairs` checks test the module, cocycle and
+against, `first_map_by_identity_product` is the first step of that echelon
+solve through the product C I that the library skips,
+`hom_action_by_conjugation` builds the action of a hom module by
+conjugating with every group element, where the library conjugates with
+the generators only, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
 tests generator edges only, `reference_mul` is an independent product for
 p-adic towers that the tests compare the library's structure-constant
@@ -44,6 +48,7 @@ from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
 from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
+    _echelon,
     hstack,
     kernel_basis,
     solution_lattice,
@@ -380,6 +385,38 @@ def solution_lattice_by_smith(dim: int, maps, relations) -> list:
         T = IntMatrix.from_columns([v[:L.ncols] for v in ker], nrows=L.ncols)
         L = L @ T
     return L.columns()
+
+
+def first_map_by_identity_product(dim: int, C: IntMatrix, relations) -> list:
+    """The basis `solution_lattice(dim, [C], relations)` gives, with the
+    images of the standard basis taken from the product C I: one echelon of
+    the rows [r | 0] and [C e_j | e_j], keeping the nonzero tails of the
+    rows whose first part vanished."""
+    basis = list(IntMatrix.identity(dim).rows)
+    if not basis:
+        return []
+    m = C.nrows
+    CX = C @ IntMatrix._wrap(zip(*basis), len(basis))
+    images = list(zip(*CX.rows)) or [()] * len(basis)
+    rows = [list(r) for r in relations] + [[*y, *x] for y, x in zip(images, basis)]
+    _, zero = _echelon(rows, m)
+    return [tuple(R[m:]) for R in zero if any(R[m:])]
+
+
+# -- the action of a hom module by conjugation ---------------------------------------
+
+
+def hom_action_by_conjugation(M: GModule, N: GModule) -> list:
+    """The action matrices of Hom(M, N), one per group element g: column i
+    holds the coordinates of g f_i g^-1 for the i-th hom generator f_i, one
+    conjugation and one coordinate solve per element and generator."""
+    hm = hom_module(M, N)
+    G = M.group
+    n = hm.rank
+    gens = [hm.matrix_of([int(i == j) for j in range(n)]) for i in range(n)]
+    return [IntMatrix.from_columns([hm.coords_of(N.act(g) @ F @ M.act(G.inv(g))) for F in gens],
+                                   nrows=n)
+            for g in G.elements()]
 
 
 # -- reference multiplication for p-adic towers -----------------------------------

@@ -9,8 +9,9 @@ byte for byte (a speed-up, a refactor) must pass this test unchanged.
 
 The documents named in `PINNED` (under `tests/docs`) reach what no
 benchmark document does: analyze jobs in global mode, on six-root
-surfaces or on refused surfaces, and the largest `h1` jobs, the regular
-module of a group of order 128 with and without a subgroup.  They are
+surfaces or on refused surfaces, the largest `h1` jobs, the regular
+module of a group of order 128 with and without a subgroup, and an
+`ext-check` whose hom module is Hom(Z[D6], Z[D6]), of rank 144.  They are
 hashed the same way, one sha256 per document, against
 `tests/golden_pinned_digests.json`.
 
@@ -46,6 +47,7 @@ PINNED = (
     "analyze_invalid_surfaces",
     "regular_h1_order_128",
     "regular_h1_order_128_subgroup",
+    "ext_check_regular_d6",
 )
 MODES = (
     ["--format", "json"],

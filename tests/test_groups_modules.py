@@ -1,6 +1,7 @@
 """Tests for finite groups, subgroup bookkeeping, and presented modules."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,12 @@ from chatelet.groups import (
     symmetric_group,
     trivial_subgroup,
 )
-from chatelet.intmat import IntMatrix
+from chatelet.intmat import IntMatrix, LatticeSubquotient
 from chatelet.modules import (
     FpAbGroup,
     GModule,
     GModuleMap,
+    HomModule,
     chatelet_picard_module,
     direct_sum,
     equivariant_hom_basis,
@@ -40,6 +42,7 @@ from chatelet.modules import (
 
 from helpers import (
     coset_count_hlt,
+    hom_action_by_conjugation,
     is_cocycle_all_pairs,
     module_axioms_all_pairs,
     module_library,
@@ -449,6 +452,67 @@ def test_hom_module_roundtrip():
                   for d in H.coeff_group().invariants]
         F = H.matrix_of(coords)
         assert H.coords_of(F) == H.coeff_group().reduce_coords(coords)
+
+
+def _relabelled(G: FiniteGroup, shift: int) -> FiniteGroup:
+    """G as an explicit table with element x renamed (x + shift) mod |G|,
+    so that its identity is not element 0."""
+    n = G.order
+    new = [(x - shift) % n for x in range(n)]  # new label -> old element
+    return FiniteGroup([[(G.mul(new[a], new[b]) + shift) % n for b in range(n)]
+                        for a in range(n)], name=f"{G.name}'")
+
+
+def _twisted_modules(G: FiniteGroup) -> list[GModule]:
+    """Explicit modules on which an index-two subgroup K acts trivially and
+    the rest of G by -1 on Z/3, or by swapping the coordinates of (Z/2)^2."""
+    K = next(s for s in all_subgroups(G) if s.index == 2)
+    minus = [IntMatrix([[1 if K.contains(g) else -1]]) for g in G.elements()]
+    swap = [IntMatrix([[1, 0], [0, 1]] if K.contains(g) else [[0, 1], [1, 0]])
+            for g in G.elements()]
+    return [GModule(G, 1, [(3,)], minus, name="minus3"),
+            GModule(G, 2, [(2, 0), (0, 2)], swap, name="swap2")]
+
+
+HOM_GROUPS = (cyclic_group(6), dihedral_group(4), quaternion_group(), symmetric_group(4),
+              _relabelled(dihedral_group(3), 2))
+
+
+def test_hom_action_matches_conjugation_by_every_element():
+    # the action built from the generators of G and the breadth-first tree
+    # is, entry for entry, conjugation by every element: free, torsion and
+    # twisted modules, and the direct sums and hom modules that ext-check
+    # documents are drawn from
+    rng = random.Random(127)
+    for G in HOM_GROUPS:
+        pool = module_library(G, rng) + _twisted_modules(G)
+        if G.order <= 8:
+            pool.append(regular_module(G))
+        rank_one = [M for M in pool if M.rank == 1]
+        pool += [direct_sum(rng.choice(pool), rng.choice(rank_one)),
+                 hom_module(rng.choice(rank_one), rng.choice(rank_one))]
+        for M in pool:
+            for N in pool:
+                if M.rank * N.rank > 24:
+                    continue
+                assert list(hom_module(M, N).action) == hom_action_by_conjugation(M, N), \
+                    (G.name, M.name, N.name)
+
+
+def test_a_hom_build_solves_coordinates_for_the_generators_only():
+    # one coordinate solve per generator of G and hom generator; conjugating
+    # by every element took |G| per hom generator.  (An autospec mock with
+    # wraps= returns a mock from a method, so the spy calls through by
+    # side_effect, and the counted build must still be right.)
+    for G in (cyclic_group(8), dihedral_group(3), quaternion_group()):
+        cases = [(regular_module(G), regular_module(G)), (regular_module(G), trivial_module(G))]
+        cases += [(M, N) for M in _twisted_modules(G) for N in _twisted_modules(G)]
+        for M, N in cases:
+            with patch.object(LatticeSubquotient, "coords", autospec=True,
+                              side_effect=LatticeSubquotient.coords) as coords:
+                hm = HomModule(M, N)
+            assert coords.call_count <= len(G.generating_set()) * hm.rank, (G.name, M.name)
+            assert list(hm.action) == hom_action_by_conjugation(M, N)
 
 
 def test_invariant_subquotient():

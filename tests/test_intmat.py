@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatelet import intmat
+from chatelet.cli import _as_matrix
 from chatelet.groups import cyclic_group
 from chatelet.intmat import (
     IntMatrix,
@@ -28,7 +29,7 @@ from chatelet.intmat import (
 )
 from chatelet.modules import trivial_module
 
-from helpers import solution_lattice_by_smith
+from helpers import first_map_by_identity_product, solution_lattice_by_smith
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -65,6 +66,33 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         IntMatrix([[2.7, "3"]])
     assert IntMatrix([[True, -3]]).rows == ((1, -3),)
+
+
+def test_lattice_subquotient_refuses_non_integer_generators():
+    # a trivial quotient is decided without a Smith form, so the
+    # denominator is converted where it comes in, not by a later builder
+    for num, den in (([[1]], [[1.0]]), ([[1]], [[2.0]]), ([[1.0]], [[1]]), ([[2.5]], [])):
+        with pytest.raises(TypeError):
+            LatticeSubquotient(1, num, den)
+    assert LatticeSubquotient(1, [[True]], [[2]]).invariants == (2,)
+
+
+def test_every_public_builder_refuses_non_integers():
+    # the builders that take entries from outside convert them through
+    # operator.index; only the library's own builders, over entries that
+    # are already ints, skip the check
+    for build in (lambda: IntMatrix([[1.5]]),
+                  lambda: IntMatrix.from_columns([[1.5]]),
+                  lambda: IntMatrix.from_columns([[1], ["2"]]),
+                  lambda: IntMatrix.diagonal([1.5]),
+                  lambda: IntMatrix([[1]]).scale(1.5)):
+        with pytest.raises(TypeError):
+            build()
+    # a job document's matrix is refused with a message, not a traceback
+    errors = []
+    assert _as_matrix([[1, 1.5]], "m", errors) is None
+    assert errors
+    assert _as_matrix([[1, 2]], "m", []) == IntMatrix([[1, 2]])
 
 
 def test_snf_decomposition_property():
@@ -466,6 +494,29 @@ def test_solution_lattice_skips_only_later_maps_that_hold():
         # without relations a map holds when it sends the basis to zero
         assert solution_lattice(3, [C, C.scale(5), C.scale(-2)], []) == kernel
         assert echelon.call_count == 2  # C, and the echelon of no relations
+
+
+def test_solution_lattice_takes_the_first_map_without_a_product():
+    """The basis starts as the identity, so the first map's images are the
+    columns of C: the same basis as through the product C I, and no product."""
+    rng = random.Random(137)
+    cases = [(0, IntMatrix.zeros(0, 0), []), (0, IntMatrix.zeros(2, 0), [(2, 0)]),
+             (3, IntMatrix.zeros(0, 3), []), (3, IntMatrix.zeros(2, 3), [(0, 4)])]
+    for _ in range(300):
+        dim, m = rng.randint(0, 5), rng.randint(0, 4)
+        C = IntMatrix([[rng.choice((0, 0, 1, -1, rng.randint(-6, 6))) for _ in range(dim)]
+                       for _ in range(m)], ncols=dim)
+        rels = [tuple(rng.randint(-4, 4) for _ in range(m))
+                for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        cases.append((dim, C, rels))
+    for dim, C, rels in cases:
+        with patch.object(IntMatrix, "__matmul__", autospec=True,
+                          side_effect=IntMatrix.__matmul__) as product:
+            got = solution_lattice(dim, [C], rels)
+        assert product.call_count == 0
+        assert got == first_map_by_identity_product(dim, C, rels), (dim, C, rels)
+    with pytest.raises(ValueError):
+        solution_lattice(2, [IntMatrix([[1, 2, 3]])], [])
 
 
 @settings(max_examples=200, deadline=None)
