@@ -654,8 +654,7 @@ def _prep_analyze(job, path, errors, trace):
     is_global = base_spec == "Q"
 
     if is_global:
-        surface = _build_surface(surface_spec, _rational, RationalChateletSurface,
-                                 f"{path}.surface", errors)
+        surface = _build(_check_surface, surface_spec, f"{path}.surface", errors, None)
         ext_spec = _as_object(job.get("extension"), f"{path}.extension", errors)
         if surface is None or ext_spec is None:
             return None
@@ -689,9 +688,7 @@ def _prep_analyze(job, path, errors, trace):
     base = _build(_check_field, base_spec, f"{path}.surface.base", errors)
     if base is None:
         return None
-    surface = _build_surface(surface_spec, lambda raw: parse_element(raw, base),
-                             lambda d, roots: ChateletSurface(base, d, roots),
-                             f"{path}.surface", errors)
+    surface = _build(_check_surface, surface_spec, f"{path}.surface", errors, base)
     extension = _build(_check_field, job.get("extension"), f"{path}.extension", errors)
     if surface is None or extension is None:
         return None
@@ -717,9 +714,17 @@ def _rational(raw):
     raise ExpressionError("expected a rational like 3 or -5/7")
 
 
-def _build_surface(spec, parse, make, path, errors):
-    """make(d, roots), with d and each root of spec read by parse, which
-    raises ExpressionError."""
+def _check_surface(spec, base, path, errors):
+    """The surface of spec over the LocalField base, or over Q when base is
+    None: d and each root are read as elements of base, or as rationals."""
+    if base is None:
+        parse, make = _rational, RationalChateletSurface
+    else:
+        def parse(raw):
+            return parse_element(raw, base)
+
+        def make(d, roots):
+            return ChateletSurface(base, d, roots)
     d_raw = spec.get("d")
     roots_raw = _as_array(spec.get("roots"), f"{path}.roots", errors, min_len=4)
     if d_raw is None:

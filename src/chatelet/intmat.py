@@ -495,9 +495,10 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
 
 
 def _lattice_basis(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, Vector]]:
-    """The reduced echelon basis of the lattice spanned by vectors of length n,
-    as (c, P[c:]) for each basis row P with pivot column c."""
-    piv, _ = _echelon([list(v) for v in IntMatrix(vectors, ncols=n).rows], n)
+    """The reduced echelon basis of the lattice spanned by vectors of Python
+    ints, each of length n (not checked), as (c, P[c:]) for each basis row P
+    with pivot column c."""
+    piv, _ = _echelon([list(v) for v in vectors], n)
     cols = [next(i for i, x in enumerate(P) if x) for P in piv]
     return [(c, tuple(P[c:])) for c, P in zip(cols, piv)]
 
@@ -601,7 +602,8 @@ class LatticeSubquotient:
     """The finitely generated abelian group (numerator lattice)/(denominator lattice).
 
     Both lattices live in Z^ambient_dim and are given by generating vectors,
-    whose entries go through `operator.index` (a float raises TypeError);
+    whose entries go through `operator.index` (a float raises TypeError) and
+    whose lengths are checked (a wrong one raises ValueError);
     the denominator must be contained in the numerator.  The numerator is
     kept as its reduced echelon basis (`_echelon`), which gives the basis
     coordinates of every vector (`_coordinates`) and decides membership on
@@ -624,7 +626,10 @@ class LatticeSubquotient:
                  numerator_gens: Sequence[Sequence[int]],
                  denominator_gens: Sequence[Sequence[int]]):
         self.ambient_dim = ambient_dim
-        self._basis = _lattice_basis(numerator_gens, ambient_dim)
+        numerator = [[*map(index, g)] for g in numerator_gens]
+        if any(len(g) != ambient_dim for g in numerator):
+            raise ValueError("numerator generator length does not match dimension")
+        self._basis = _lattice_basis(numerator, ambient_dim)
         r = len(self._basis)
 
         den_cols = []

@@ -126,6 +126,8 @@ class GModule:
         self.name = name
         if len(self.action) != group.order:
             raise ValueError("need one action matrix per group element")
+        if any(len(r) != rank for r in self.relations):
+            raise ValueError("relation length does not match rank")
         self._rel_basis = _lattice_basis(self.relations, rank)
         self._coeff: FpAbGroup | None = None
         self._hash: int | None = None
@@ -150,9 +152,8 @@ class GModule:
 
         With the identity acting trivially and every action preserving the
         relation lattice, the law for each generator s gives it for every
-        product of generators by induction on word length."""
-        if any(len(r) != self.rank for r in self.relations):
-            raise ValueError("relation length does not match rank")
+        product of generators by induction on word length.  Relation lengths
+        are checked when the module is built."""
         for g in self.group.elements():
             if self.action[g].shape != (self.rank, self.rank):
                 raise ValueError("action matrix has wrong shape")

@@ -11,8 +11,10 @@ Each field builds, once, an integer structure-constant table
 m_i * m_j = (sum_k T[i][j][k] m_k) / D over its monomials, from its parent's
 table and the step polynomial; that build is the only place the tower is
 walked step by step.  A product is one integer contraction with the table
-followed by a gcd.  The residue field multiplies with the same table,
-restricted to the unramified monomials and reduced mod p.
+followed by a gcd; when one factor is rational it only scales the other's
+numerators, and a rational inverts with no elimination.  The residue field
+multiplies with the same table, restricted to the unramified monomials and
+reduced mod p.
 
 For an unramified last step of degree d, that residue table multiplies in
 R = k[t]/(g), with k the parent's residue field of q elements and g the step
@@ -38,7 +40,7 @@ that vector for zero; `square_class_group` picks its greedy basis and
 `square_class` reads coordinates by F_2 elimination on those vectors.
 `becomes_square` reads squareness in an extension L through restriction
 K*/(K*)^2 -> L*/(L*)^2, as the sum of the L-classes of the basis elements
-in the K-class of x.
+in the K-class of x; those images are kept once per (K, L).
 """
 
 from __future__ import annotations
@@ -505,8 +507,19 @@ class PadicElement:
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        # a rational factor only scales the other's numerators: the table's
+        # first row is the identity over its denominator, so the contraction
+        # would give the same element
         field = self.field
+        if type(other) is int:
+            return PadicElement(field, [a * other for a in self.nums], self.den)
+        o = self._coerce(other)
+        if not any(o.nums[1:]):
+            c = o.nums[0]
+            return PadicElement(field, [a * c for a in self.nums], self.den * o.den)
+        if not any(self.nums[1:]):
+            c = self.nums[0]
+            return PadicElement(field, [c * b for b in o.nums], self.den * o.den)
         return PadicElement(field, _contract(field._table, self.nums, o.nums),
                             self.den * o.den * field._table_den)
 
@@ -534,6 +547,9 @@ class PadicElement:
         field = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not any(self.nums[1:]):
+            # a rational: den / c, with the sign moved to the numerator
+            return PadicElement(field, (self.den,) + self.nums[1:], self.nums[0])
         # column j of M holds the numerators of self * m_j, so multiplication
         # by self is M / (den * table_den) and the inverse's coordinates y
         # solve M y = den * table_den * e_0
@@ -636,8 +652,9 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
 
     Restriction is a homomorphism, so the class of x over L is the sum of the
     L-classes of the basis elements of K*/(K*)^2 in x's K-class.  An image is
-    computed only for a set bit and then stays in the class-vector cache, so
-    every element of K read through the same L reuses it.
+    computed only for a set bit and then kept in the list of images for
+    (K, L) (`_restriction_images`), so every element of K read through the
+    same L reuses it without embedding the basis element again.
 
     This basis route is kept on purpose over the shorter
     `is_square(embed(x, L))`, which computes a fresh class vector over L for
@@ -654,12 +671,23 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
     basis, rows = _class_basis(K)
     # the basis spans, so the remainder is always zero
     _, mask = _reduce(rows, _class_vector(K, x.nums, x.den))
+    images = _restriction_images(K, L)
     vec = 0
     for i, b in enumerate(basis):
         if mask >> i & 1:
-            y = embed(b, L)
-            vec ^= _class_vector(L, y.nums, y.den)
+            image = images[i]
+            if image is None:
+                y = embed(b, L)
+                image = images[i] = _class_vector(L, y.nums, y.den)
+            vec ^= image
     return not vec
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _restriction_images(K: LocalField, L: LocalField) -> list:
+    """The L-class of each basis element of K*/(K*)^2, filled in by
+    `becomes_square` as each is first needed; None until then."""
+    return [None] * len(_class_basis(K)[0])
 
 
 # keyed by the parts of x, not by x, whose __hash__ and __eq__ would run in

@@ -23,7 +23,9 @@ the generators only, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
 tests generator edges only, `reference_mul` is an independent product for
 p-adic towers that the tests compare the library's structure-constant
-tables against, `structure_constants_by_fractions` and
+tables against, `product_by_table` and `inverse_by_elimination` multiply
+and invert through the whole table where the library scales by a rational
+factor and inverts a rational directly, `structure_constants_by_fractions` and
 `residue_table_by_fractions` build those tables through Fraction
 coordinates, `poly_irreducible_by_enumeration` decides irreducibility over
 a residue field by trying every root and quadratic divisor, against the
@@ -48,6 +50,7 @@ from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
 from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
+    _bareiss,
     _echelon,
     hstack,
     kernel_basis,
@@ -64,6 +67,7 @@ from chatelet.padic import (
     LocalField,
     PadicElement,
     _class_vector,
+    _contract,
     _reduce,
     _square_class_pool,
 )
@@ -508,6 +512,27 @@ def reference_mul(x, y) -> tuple:
         ring = _QuotientRing(ring, tuple(_unflatten(below, c.coords()) for c in st.coeffs))
     nested = ring.mul(_unflatten(field, x.coords()), _unflatten(field, y.coords()))
     return tuple(_flatten(nested, len(field.steps)))
+
+
+# -- products and inverses through the whole table ----------------------------------
+
+
+def product_by_table(x: PadicElement, y: PadicElement) -> PadicElement:
+    """x * y by the full contraction with the field's structure-constant
+    table, which the library skips when one factor is rational."""
+    field = x.field
+    return PadicElement(field, _contract(field._table, x.nums, y.nums),
+                        x.den * y.den * field._table_den)
+
+
+def inverse_by_elimination(x: PadicElement) -> PadicElement:
+    """The inverse of a nonzero x by one fraction-free solve of the
+    multiplication matrix of x, which the library skips for a rational."""
+    field = x.field
+    n = len(x.nums)
+    cols = [_contract(field._table, x.nums, field._monomial(j).nums) for j in range(n)]
+    X, d = _bareiss(list(zip(*cols)), [[int(k == 0)] for k in range(n)])
+    return PadicElement(field, [x.den * field._table_den * row[0] for row in X], d)
 
 
 # -- structure-constant tables through Fractions ------------------------------------

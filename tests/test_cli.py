@@ -549,8 +549,8 @@ def test_a_benchmark_pass_evicts_nothing(workload, monkeypatch, capsys):
     assert set(caches) == {
         "chatelet.cli._evaluate", "chatelet.cli._parse_args", "chatelet.cli._resolve",
         "chatelet.cohomology.h0", "chatelet.cohomology.h1", "chatelet.modules.hom_module",
-        "chatelet.padic._class_vector", "chatelet.padic.LocalField.make",
-        "chatelet.surfaces._descent_verdicts"}
+        "chatelet.padic._class_vector", "chatelet.padic._restriction_images",
+        "chatelet.padic.LocalField.make", "chatelet.surfaces._descent_verdicts"}
     for cache in caches.values():
         cache.cache_clear()
     path = Path(__file__).parents[1] / "perfbench" / "docs" / f"{workload}.jsonl"
@@ -625,6 +625,75 @@ def test_a_bad_local_surface_is_reported_at_its_path(changes, errors):
 ])
 def test_a_bad_global_surface_is_reported_at_its_path(changes, errors):
     assert _surface_errors(GLOBAL_SURFACE, changes) == errors
+
+
+def _analyze(surface, extension):
+    return {"type": "analyze", "surface": surface, "extension": extension}
+
+
+LOCAL_JOB = _analyze(LOCAL_SURFACE, {"p": 5, "steps": [{"kind": "unramified",
+                                                         "poly": ["2", "0"]}]})
+GLOBAL_JOB = _analyze(GLOBAL_SURFACE, {"degree": 2})
+
+
+def test_a_repeated_surface_is_built_once():
+    cli._resolve.cache_clear()
+    results, errors = run(doc(LOCAL_JOB, GLOBAL_JOB, LOCAL_JOB, GLOBAL_JOB, LOCAL_JOB))
+    assert errors is None and results[0] == results[2] == results[4]
+    # the base field, the local surface, the extension and the global surface
+    assert cli._resolve.cache_info().misses == 4
+    errors = []
+    base = cli._build(cli._check_field, {"p": 5}, "base", errors)
+    reordered = {"roots": ["1", "2", "3", "4"], "d": "2", "base": {"p": 5}}
+    surface = cli._build(cli._check_surface, LOCAL_SURFACE, "surface", errors, base)
+    assert cli._build(cli._check_surface, reordered, "surface", errors, base) is surface
+    assert errors == [] and cli._resolve.cache_info().misses == 4
+
+
+def test_one_surface_spec_over_two_bases_is_two_surfaces():
+    cli._resolve.cache_clear()
+    errors = []
+    spec = {"d": "2", "roots": ["1", "2", "3", "4"]}
+    bases = [LocalField.qp(5), LocalField.qp(5).extend_eisenstein([5, 0])]
+    surfaces = [cli._build(cli._check_surface, spec, "surface", errors, K) for K in bases]
+    assert errors == [] and [S.base for S in surfaces] == bases
+    assert cli._resolve.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("surface, message", [
+    ({**LOCAL_SURFACE, "roots": ["1", "2", "3", "9/3"]}, "surface: roots must be distinct"),
+    ({**LOCAL_SURFACE, "d": "4"}, "surface: d must be a nonsquare of the base field"),
+    ({**LOCAL_SURFACE, "d": "2 +"}, "surface.d: expected a number, generator, or parenthesis"),
+    ({**GLOBAL_SURFACE, "d": 4}, "surface: d must be a rational nonsquare"),
+    ({**GLOBAL_SURFACE, "roots": [1, 2, 3]}, "surface.roots: expected at least 4 entries"),
+])
+def test_a_repeated_bad_surface_is_reported_at_each_path(surface, message):
+    job = _analyze(surface, {"degree": 2} if surface["base"] == "Q" else {"p": 5})
+    results, errors = run(doc(job, {"type": "snf", "matrix": [[1]]}, job))
+    assert results is None
+    assert errors == [f"jobs[{i}].{message}" for i in (0, 2)]
+
+
+@pytest.mark.parametrize("surface, extension, errors", [
+    # a bad base is reported alone: the extension is not read
+    ({**LOCAL_SURFACE, "base": {"p": 4}}, {"p": "x"}, ["surface.base.p: p must be prime"]),
+    ({**LOCAL_SURFACE, "base": {"p": 4}, "d": "2 +"}, {"p": "x"},
+     ["surface.base.p: p must be prime"]),
+    # a bad surface over a good base still has the extension checked
+    ({**LOCAL_SURFACE, "d": "2 +"}, {"p": "x"},
+     ["surface.d: expected a number, generator, or parenthesis",
+      "extension.p: expected an integer"]),
+    ({**LOCAL_SURFACE, "roots": ["1", "2", "3", "t1"]},
+     {"p": 5, "steps": [{"kind": "eisenstein", "poly": ["5"]}]},
+     ["surface.roots[3]: t1 is not a generator of this field",
+      "extension.steps[0].poly: expected at least 2 entries"]),
+    ({**GLOBAL_SURFACE, "d": 4}, None,
+     ["surface: d must be a rational nonsquare", "extension: expected an object"]),
+])
+def test_a_bad_surface_and_a_bad_extension_report_as_before(surface, extension, errors):
+    job = _analyze(surface, extension)
+    for _ in range(2):  # built, then resolved
+        assert run(doc(job)) == (None, [f"jobs[0].{e}" for e in errors])
 
 
 def test_a_spec_too_deep_to_write_as_text_is_still_built():

@@ -9,11 +9,11 @@ byte for byte (a speed-up, a refactor) must pass this test unchanged.
 
 The documents named in `PINNED` (under `tests/docs`) reach what no
 benchmark document does: analyze jobs in global mode, on six-root
-surfaces or on refused surfaces, the largest `h1` jobs, the regular
-module of a group of order 128 with and without a subgroup, and an
-`ext-check` whose hom module is Hom(Z[D6], Z[D6]), of rank 144.  They are
-hashed the same way, one sha256 per document, against
-`tests/golden_pinned_digests.json`.
+surfaces, on refused surfaces or on surfaces repeated across jobs, the
+largest `h1` jobs, the regular module of a group of order 128 with and
+without a subgroup, and an `ext-check` whose hom module is
+Hom(Z[D6], Z[D6]), of rank 144.  They are hashed the same way, one sha256
+per document, against `tests/golden_pinned_digests.json`.
 
 After a change that alters output on purpose, rewrite the digests with
 
@@ -45,6 +45,7 @@ PINNED = (
     "analyze_six_roots_local",
     "analyze_six_roots_global",
     "analyze_invalid_surfaces",
+    "analyze_repeated_surfaces",
     "regular_h1_order_128",
     "regular_h1_order_128_subgroup",
     "ext_check_regular_d6",

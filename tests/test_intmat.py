@@ -27,7 +27,7 @@ from chatelet.intmat import (
     unimodular_inverse,
     vstack,
 )
-from chatelet.modules import trivial_module
+from chatelet.modules import GModule, trivial_module
 
 from helpers import first_map_by_identity_product, solution_lattice_by_smith
 
@@ -75,6 +75,20 @@ def test_lattice_subquotient_refuses_non_integer_generators():
         with pytest.raises(TypeError):
             LatticeSubquotient(1, num, den)
     assert LatticeSubquotient(1, [[True]], [[2]]).invariants == (2,)
+
+
+def test_generators_and_relations_of_the_wrong_length_are_refused():
+    # the echelon behind a lattice takes rows as given, so each entry point
+    # checks lengths itself
+    for num in ([[1, 0], [0]], [[1, 0, 0]], [[1]]):
+        with pytest.raises(ValueError):
+            LatticeSubquotient(2, num, [])
+    G = cyclic_group(2)
+    eye = IntMatrix.identity(2)
+    for relations in ([(2,)], [(2, 0, 0)], [(2, 0), (1,)]):
+        with pytest.raises(ValueError):
+            GModule(G, 2, relations, [eye, eye], check=False)
+    assert GModule(G, 2, [(2, 0)], [eye, eye], check=False).relations == ((2, 0),)
 
 
 def test_every_public_builder_refuses_non_integers():

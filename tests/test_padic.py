@@ -25,8 +25,10 @@ from chatelet.padic import (
 )
 from helpers import (
     det_by_cofactors,
+    inverse_by_elimination,
     is_square_by_search,
     poly_irreducible_by_enumeration,
+    product_by_table,
     reference_mul,
     residue_table_by_fractions,
     square_class_group_by_full_pool,
@@ -1002,3 +1004,46 @@ def test_becomes_square_refuses_a_field_that_is_not_a_tower_on_x_s_field():
         for L in others:
             with pytest.raises(ValueError):
                 becomes_square(x, L)
+
+
+# -- rational factors against the whole-table product -------------------------------
+
+# unramified, Eisenstein and mixed towers over Q_2 and Q_3
+SCALAR_TOWERS = {
+    "Q2 unram": _F4,
+    "Q2 eis": _Q2_SQRT2,
+    "Q2 mixed": DEG8,
+    "Q3 unram": _Q3_UNRAM,
+    "Q3 eis": TABLE_TOWERS["Q3(sqrt3)"],
+    "Q3 mixed": TABLE_TOWERS["Q3 unram eis"],
+}
+
+
+def _same(x, y):
+    return x.field == y.field and (x.nums, x.den) == (y.nums, y.den)
+
+
+@pytest.mark.parametrize("field", SCALAR_TOWERS.values(), ids=SCALAR_TOWERS)
+@examples
+@given(data=st.data(),
+       q=st.integers(-10 ** 12, 10 ** 12) | st.fractions(max_denominator=10 ** 6))
+def test_a_rational_factor_gives_the_whole_table_product(field, data, q):
+    # a rational factor only scales numerators, on either side and whether
+    # it comes as an int, a Fraction or an element
+    [x] = _elements(data, field, 1)
+    r = field.rational(q)
+    want = product_by_table(x, r)
+    for got in (x * q, q * x, x * r, r * x):
+        assert _same(got, want)
+    assert _same(r * r, product_by_table(r, r))
+    if q:
+        assert _same(r.inverse(), inverse_by_elimination(r))
+        assert _same(x / q, product_by_table(x, inverse_by_elimination(r)))
+
+
+def test_the_uniformizer_of_an_unramified_field_inverts_to_one_over_p():
+    for field in SCALAR_TOWERS.values():
+        if field.ramification_index == 1:
+            pi = field.uniformizer()
+            assert _same(pi.inverse(), field.rational(Fraction(1, field.p)))
+            assert _same(pi.inverse(), inverse_by_elimination(pi))
