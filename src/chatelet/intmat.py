@@ -11,7 +11,9 @@ Smith form U * A * V = S, with U and V unimodular and S diagonal with each
 entry dividing the next, is built from alternating echelon sweeps.  It is
 computed where invariants are read (`cokernel_structure`, and the cyclic
 decomposition of a subquotient whose quotient is not trivial) and by the
-public `kernel_basis` and `solve`.  A trivial quotient is told apart by one
+public `kernel_basis` and `solve`.  A subquotient reads coordinates through
+the kept rows of its U alone, those whose invariant is not 1, each stored as
+its nonzero entries.  A trivial quotient keeps no row: it is told apart by one
 echelon with no transform (`_spans`) and needs neither a Smith form nor an
 inverse.  Determinants and exact inverses come from fraction-free Bareiss
 elimination (`_bareiss`).
@@ -20,6 +22,7 @@ elimination (`_bareiss`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from itertools import compress
 from math import prod
 from operator import index, mul
@@ -607,12 +610,14 @@ class LatticeSubquotient:
     the denominator must be contained in the numerator.  The numerator is
     kept as its reduced echelon basis (`_echelon`), which gives the basis
     coordinates of every vector (`_coordinates`) and decides membership on
-    the way.  When the denominator's basis coordinates X span Z^r, r the
-    numerator's rank, the quotient is trivial: one echelon of X without a
-    transform says so (`_spans`), and there is nothing more to compute.
-    Otherwise a Smith decomposition U X V = S reads off the invariants, and
-    the columns of U^-1 give the generators, inverted only when the
-    generators are first read.
+    the way.  A Smith decomposition U X V = S of the denominator's basis
+    coordinates X reads off the invariants.  The rows of U whose invariant
+    is not 1 are kept, each as its nonzero (column, entry) pairs, and
+    coordinates are read through them alone; the matching columns of U^-1
+    give the generators, inverted only when the generators are first read.
+    When X spans Z^r, r the numerator's rank, the quotient is trivial and
+    keeps no row: one echelon of X without a transform says so (`_spans`),
+    and no Smith form is taken.
 
     Attributes:
         invariants: cyclic decomposition orders, torsion entries first in
@@ -639,47 +644,44 @@ class LatticeSubquotient:
                 raise ValueError("denominator generator lies outside the numerator lattice")
             den_cols.append(x)
         if _spans(den_cols, r):
-            # a trivial quotient: no Smith form, and no generator to invert for
-            self._ux = None
-            self._kept = full = []
-            self._generators: list[Vector] | None = []
+            kept = {}  # a trivial quotient: every invariant is 1, and no Smith form
         else:
             dec_x = smith_normal_form(IntMatrix._wrap_columns(den_cols, r))
-            xdiag = dec_x.diagonal
-            full = [xdiag[i] if i < len(xdiag) else 0 for i in range(r)]
             self._ux = dec_x.U
-            self._kept = [i for i in range(r) if full[i] != 1]
-            self._generators = None
-        self.invariants: tuple[int, ...] = tuple(full[i] for i in self._kept)
+            xdiag = dec_x.diagonal + (0,) * r
+            kept = {i: xdiag[i] for i in range(r) if xdiag[i] != 1}
+        self._kept = list(kept)
+        # each kept row of U as its nonzero (column, entry) pairs
+        self._rows = [[(j, a) for j, a in enumerate(self._ux.rows[i]) if a] for i in kept]
+        self.invariants: tuple[int, ...] = tuple(kept.values())
         self.order: int | None = prod(self.invariants) if all(self.invariants) else None
 
-    @property
+    @cached_property
     def generators(self) -> list[Vector]:
-        """Ambient representatives, one per invariant: the columns of U^-1
-        over the numerator basis, built on first use."""
-        if self._generators is None:
-            ux_inv = unimodular_inverse(self._ux)
-            basis = [(0,) * c + P for c, P in self._basis]
-            self._generators = [_combination(ux_inv.col(i), basis, self.ambient_dim)
-                                for i in self._kept]
-        return self._generators
+        """Ambient representatives, one per invariant: the kept columns of
+        U^-1 over the numerator basis, built on first use.  A trivial
+        quotient keeps none and inverts nothing."""
+        if not self._kept:
+            return []
+        ux_inv = unimodular_inverse(self._ux)
+        basis = [(0,) * c + P for c, P in self._basis]
+        return [_combination(ux_inv.col(i), basis, self.ambient_dim) for i in self._kept]
 
     def contains(self, v: Sequence[int]) -> bool:
         """Membership of an ambient vector in the numerator lattice."""
         return _coordinates(self._basis, v, self.ambient_dim) is not None
 
     def coords(self, v: Sequence[int]) -> Vector:
-        """Coordinates of an ambient vector, reduced modulo the invariants.
+        """Coordinates of an ambient vector, reduced modulo the invariants:
+        one sum per kept row of U over its basis coordinates.
 
         Raises ValueError when v is not in the numerator lattice.
         """
         y = _coordinates(self._basis, v, self.ambient_dim)
         if y is None:
             raise ValueError("vector not in the numerator lattice")
-        if not self._kept:
-            return ()
-        w = self._ux.apply(y)
-        return self.reduce_coords([w[i] for i in self._kept])
+        return reduce_mod([sum([a * y[j] for j, a in row]) for row in self._rows],
+                          self.invariants)
 
     def lift(self, coords: Sequence[int]) -> Vector:
         """An ambient representative of the element with the given coordinates."""

@@ -654,7 +654,8 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
     L-classes of the basis elements of K*/(K*)^2 in x's K-class.  An image is
     computed only for a set bit and then kept in the list of images for
     (K, L) (`_restriction_images`), so every element of K read through the
-    same L reuses it without embedding the basis element again.
+    same L reuses it without embedding the basis element again.  It is
+    computed past the `_class_vector` cache, which would only keep it twice.
 
     This basis route is kept on purpose over the shorter
     `is_square(embed(x, L))`, which computes a fresh class vector over L for
@@ -678,7 +679,7 @@ def becomes_square(x: PadicElement, L: LocalField) -> bool:
             image = images[i]
             if image is None:
                 y = embed(b, L)
-                image = images[i] = _class_vector(L, y.nums, y.den)
+                image = images[i] = _class_vector.__wrapped__(L, y.nums, y.den)
             vec ^= image
     return not vec
 

@@ -17,7 +17,9 @@ presentations close, `word_value` evaluates a relator word in its group,
 Smith-kernel lattice solve that the library's echelon version is compared
 against, `first_map_by_identity_product` is the first step of that echelon
 solve through the product C I that the library skips,
-`hom_action_by_conjugation` builds the action of a hom module by
+`subquotient_by_full_transform` reads a lattice subquotient's coordinates
+and generators through its whole Smith transform, where the library keeps
+only the rows it reads, `hom_action_by_conjugation` builds the action of a hom module by
 conjugating with every group element, where the library conjugates with
 the generators only, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
@@ -51,10 +53,15 @@ from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
     _bareiss,
+    _coordinates,
     _echelon,
+    _lattice_basis,
     hstack,
     kernel_basis,
+    reduce_mod,
+    smith_normal_form,
     solution_lattice,
+    unimodular_inverse,
 )
 from chatelet.modules import (
     GModule,
@@ -405,6 +412,34 @@ def first_map_by_identity_product(dim: int, C: IntMatrix, relations) -> list:
     rows = [list(r) for r in relations] + [[*y, *x] for y, x in zip(images, basis)]
     _, zero = _echelon(rows, m)
     return [tuple(R[m:]) for R in zero if any(R[m:])]
+
+
+# -- a subquotient through its whole Smith transform ---------------------------------
+
+
+def subquotient_by_full_transform(n: int, numerator, denominator):
+    """The invariants, coordinate map and generators of numerator/denominator
+    in Z^n, through the whole Smith transform U of the denominator's
+    coordinates X over the numerator's echelon basis, taken even when the
+    quotient is trivial: coordinates multiply all of U into a vector's basis
+    coordinates and keep the rows whose invariant is not 1, reduced, and the
+    generators are the matching columns of the full U^-1 over the basis."""
+    basis = _lattice_basis(numerator, n)
+    r = len(basis)
+    X = IntMatrix.from_columns([_coordinates(basis, g, n) for g in denominator], nrows=r)
+    dec = smith_normal_form(X)
+    diag = dec.diagonal + (0,) * r
+    kept = [i for i in range(r) if diag[i] != 1]
+    invariants = tuple(diag[i] for i in kept)
+    B = IntMatrix.from_columns([(0,) * c + P for c, P in basis], nrows=n)
+    inverse = unimodular_inverse(dec.U)
+    generators = [B.apply(inverse.col(i)) for i in kept]
+
+    def coords(v):
+        w = dec.U.apply(_coordinates(basis, v, n))
+        return reduce_mod([w[i] for i in kept], invariants)
+
+    return invariants, coords, generators
 
 
 # -- the action of a hom module by conjugation ---------------------------------------

@@ -29,7 +29,11 @@ from chatelet.intmat import (
 )
 from chatelet.modules import GModule, trivial_module
 
-from helpers import first_map_by_identity_product, solution_lattice_by_smith
+from helpers import (
+    first_map_by_identity_product,
+    solution_lattice_by_smith,
+    subquotient_by_full_transform,
+)
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -441,6 +445,59 @@ def test_subquotient_membership_matches_solve(data):
     if q.is_trivial:
         assert q.lift(()) == (0,) * n
         assert all(q.coords(v) == () for v in members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_coords_read_the_kept_rows_of_the_full_transform(data):
+    """Coordinates and generators against the whole Smith transform of the
+    same denominator coordinates (`subquotient_by_full_transform`), over a
+    trivial quotient (the numerator's own generators), a torsion one (each
+    generator scaled) and one with a free part (fewer generators than the
+    rank)."""
+    kind = data.draw(st.sampled_from(["trivial", "torsion", "free"]), label="kind")
+    n = data.draw(st.integers(1, 5), label="dim")
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    num = data.draw(st.lists(vec, min_size=1, max_size=5), label="num")
+    N = IntMatrix.from_columns(num, nrows=n)
+    r = len(intmat._lattice_basis(num, n))
+    combo = st.tuples(*[st.integers(-3, 3)] * len(num))
+    if kind == "trivial":
+        den = num
+    elif kind == "torsion":
+        scales = data.draw(st.lists(st.integers(1, 6), min_size=len(num), max_size=len(num)),
+                           label="scales")
+        den = [tuple(s * x for x in g) for s, g in zip(scales, num)]
+    else:
+        den = [N.apply(c) for c in data.draw(st.lists(combo, max_size=max(r - 1, 0)),
+                                              label="den")]
+    q = LatticeSubquotient(n, num, den)
+    invariants, coords, generators = subquotient_by_full_transform(n, num, den)
+    assert q.invariants == invariants
+    assert {"trivial": q.is_trivial, "torsion": q.order is not None,
+            "free": q.order is None or r == 0}[kind]
+    members = [N.apply(c) for c in data.draw(st.lists(combo, min_size=1, max_size=4),
+                                              label="members")]
+    for v in members + num + den + generators:
+        assert q.coords(v) == coords(v)
+    assert q.generators == generators
+
+
+def test_coords_take_no_matrix_product():
+    """`coords` reads the kept rows of U one by one: no `IntMatrix.apply`,
+    also when U is the identity (a free quotient, here Z^3 / 0) or the
+    quotient is trivial."""
+    quotients = [LatticeSubquotient(3, IntMatrix.identity(3).rows, []),
+                 LatticeSubquotient(2, [(1, 0), (0, 1)], [(2, 0), (0, 3)]),
+                 LatticeSubquotient(2, [(2, 0), (0, 2)], [(2, 2), (4, -4)]),
+                 LatticeSubquotient(2, [(1, 0), (0, 1)], [(1, 1), (0, 1)])]
+    with patch.object(IntMatrix, "apply", autospec=True,
+                      side_effect=IntMatrix.apply) as apply:
+        assert quotients[0].coords((4, -1, 7)) == (4, -1, 7)
+        assert quotients[1].coords((1, 1)) == (5,)
+        assert quotients[2].coords((2, 4)) == (3,)
+        assert quotients[3].coords((5, -7)) == ()
+    assert apply.call_count == 0
 
 
 # -- echelon lattices against the Smith-form paths ------------------------------------

@@ -13,8 +13,10 @@ from chatelet.padic import (
     P_LIMIT,
     LocalField,
     PadicElement,
+    _class_vector,
     _det,
     _is_prime,
+    _restriction_images,
     becomes_square,
     embed,
     is_square,
@@ -987,6 +989,23 @@ def test_becomes_square_agrees_with_squareness_of_the_image(data):
         if data.draw(st.booleans()):
             x = x * b
     assert becomes_square(x, L) == is_square(embed(x, L))
+
+
+def test_a_fresh_restriction_adds_one_class_vector_per_element():
+    """A basis image over L is kept in the (K, L) list of `becomes_square`
+    alone: a fresh (K, L) adds one `_class_vector` entry per distinct x, its
+    class over K, and none per set bit of x's mask."""
+    K = LocalField.qp(2).extend_eisenstein([-2, 0])
+    L = K.extend_eisenstein([-K.gen(0), 0])
+    basis = square_class_group(K)
+    everything = basis[0] * basis[1] * basis[2] * basis[3]
+    assert square_class(K, everything) == (1, 1, 1, 1)
+    _class_vector.cache_clear()
+    _restriction_images.cache_clear()
+    for x, added in ((everything, 1), (basis[1] * basis[3], 1), (everything, 0)):
+        before = _class_vector.cache_info().currsize
+        becomes_square(x, L)
+        assert _class_vector.cache_info().currsize == before + added
 
 
 def test_becomes_square_of_zero_is_true():
