@@ -10,11 +10,16 @@ rounding anywhere in this module.
 Each field builds, once, an integer structure-constant table
 m_i * m_j = (sum_k T[i][j][k] m_k) / D over its monomials, from its parent's
 table and the step polynomial; that build is the only place the tower is
-walked step by step.  A product is one integer contraction with the table
-followed by a gcd; when one factor is rational it only scales the other's
-numerators, and a rational inverts with no elimination.  The residue field
-multiplies with the same table, restricted to the unramified monomials and
-reduced mod p.
+walked step by step.  It runs on plain integers, with no element products:
+the powers of the new generator past its degree are numerator vectors over
+one denominator, each row m_k t^s is read off the parent's integer row k,
+and each entry m_i m_j t^s is formed once for the pair {i, j} and the sum s
+of the two exponents of t.  A product is one integer contraction with the
+table followed by a gcd; when one factor is rational it only scales the
+other's numerators, and a rational inverts with no elimination.  The residue
+field multiplies with the same table, restricted to the unramified monomials
+and reduced mod p; an Eisenstein step adds no unramified monomial, so it
+keeps its parent's residue table.
 
 For an unramified last step of degree d, that residue table multiplies in
 R = k[t]/(g), with k the parent's residue field of q elements and g the step
@@ -120,53 +125,89 @@ def _structure_constants(par: "LocalField", coeffs: tuple) -> tuple[tuple, int]:
     The monomial t^a * m_i of the extension has index a * n + i, where m_i
     runs over the n monomials of par.
 
-    With t^s = sum_l P[s][l] t^l over par and the parent's table (T', D'),
-    m_i m_j t^s is (sum_k T'[i][j][k] m_k t^s) / D', so every entry is an
-    integer combination of the rows R[k][s] = m_k t^s = sum_l m_k P[s][l] t^l.
-    For s < d that row is the monomial t^s m_k itself; only s >= d takes
-    parent products, n d (d - 1) of them.  Over the common denominator dR of
-    those rows every entry is an integer vector over dR D', and dividing out
-    the gcd of all of them with dR D' leaves the least D: the lcm of the
-    reduced denominators of all the table's coordinates.
+    The build runs on integers over the parent's table (T', D').  The powers
+    t^s = sum_l P[s][l] t^l for d <= s <= 2d - 2 are numerator vectors over
+    one denominator each: t^(s + 1) shifts t^s up one power of t and folds
+    its top coefficient back through the step polynomial, a parent product
+    taken by `_contract` on T'.  The row R[k][s] = m_k t^s is the monomial
+    t^s m_k itself for s < d, and for s >= d its t^l block is m_k P[s][l],
+    read off the parent's row T'[k].  An entry m_i m_j t^s is
+    (sum_k T'[i][j][k] R[k][s]) / D'; it depends on i, j and s = a + b only,
+    so it is formed once per i <= j and s and shared by every (a, b) with
+    that sum and by (j, i).  Over the common denominator of the rows every
+    entry is an integer vector, and dividing out the gcd of all of them with
+    that denominator leaves the least D: the lcm of the reduced denominators
+    of all the table's coordinates.
     """
     d = len(coeffs)
     n = len(par._monomials)
-    zero = par.zero()
-    # t^s as coefficient vectors over par, for s up to 2d - 2
-    powers = [[par.one() if l == s else zero for l in range(d)] for s in range(d)]
-    for _ in range(d - 1):
-        prev = powers[-1]
-        powers.append([(prev[l - 1] if l else zero) - prev[-1] * c
-                       for l, c in enumerate(coeffs)])
-    # m_k P[s][l] for s >= d, the only parent products the table takes
-    products = [[[zero if c.is_zero() else par._monomial(k) * c for c in powers[s]]
-                 for s in range(d, 2 * d - 1)] for k in range(n)]
-    den_r = lcm(*(x.den for per_k in products for per_s in per_k for x in per_s))
-    # R[k][s] as sparse (index, numerator over den_r) pairs, ascending
-    shifted = [[((s * n + k, den_r),) for s in range(d)]
-               + [tuple((l * n + i, c * (den_r // x.den)) for l, x in enumerate(per_s)
-                        for i, c in enumerate(x.nums) if c) for per_s in per_k]
-               for k, per_k in enumerate(products)]
+    par_table, par_den = par._table, par._table_den
+    # the step's lower coefficients as numerator vectors over one denominator
+    c_den = lcm(*(c.den for c in coeffs))
+    c_nums = [[x * (c_den // c.den) for x in c.nums] for c in coeffs]
+    # t^d, ..., t^(2d - 2) as (numerators in blocks of n per power of t,
+    # denominator), starting from t^d = -(c_0 + c_1 t + ... + c_{d-1} t^(d-1))
+    nums = [-x for c in c_nums for x in c]
+    den = c_den
+    powers = [(nums, den)]
+    scale = c_den * par_den
+    for _ in range(d - 2):
+        top = nums[-n:]
+        nums = [0] * n + [x * scale for x in nums[:-n]]
+        for l, c in enumerate(c_nums):
+            for k, v in enumerate(_contract(par_table, top, c), l * n):
+                nums[k] -= v
+        den *= scale
+        g = gcd(den, *nums)
+        nums, den = [x // g for x in nums], den // g
+        powers.append((nums, den))
+    # R[k][s] for s >= d as ascending sparse (index, numerator) pairs over
+    # den_r * D'; the monomial rows s < d are den_r * D' at index s * n + k
+    den_r = lcm(*(den for _, den in powers))
+    size = d * n
+    high = [[] for _ in range(n)]
+    for nums, den in powers:
+        # (start of its t^l block, parent index j, numerator over den_r)
+        terms = [(idx - idx % n, idx % n, x * (den_r // den))
+                 for idx, x in enumerate(nums) if x]
+        for k, row in enumerate(par_table):
+            out = [0] * size
+            for block, j, x in terms:
+                for kk, v in row[j]:
+                    out[block + kk] += x * v
+            high[k].append(tuple((idx, v) for idx, v in enumerate(out) if v))
+    unit = den_r * par_den
 
-    def entry(terms, s):
+    def entries(terms):
+        """m_i m_j t^s for s = 0, ..., 2d - 2, with T'[i][j] = terms."""
+        out = [tuple((s * n + k, t * unit) for k, t in terms) for s in range(d)]
         if len(terms) == 1:
-            k, t = terms[0]
-            return tuple((idx, t * v) for idx, v in shifted[k][s])
-        acc: dict = {}
-        for k, t in terms:
-            for idx, v in shifted[k][s]:
-                acc[idx] = acc.get(idx, 0) + t * v
-        return tuple((idx, v) for idx, v in sorted(acc.items()) if v)
+            (k, t), = terms
+            out += [tuple((idx, t * v) for idx, v in row) for row in high[k]]
+            return out
+        for s in range(d - 1):
+            acc = [0] * size
+            for k, t in terms:
+                for idx, v in high[k][s]:
+                    acc[idx] += t * v
+            out.append(tuple((idx, v) for idx, v in enumerate(acc) if v))
+        return out
 
-    par_table = par._table
-    table = [[entry(par_table[i][j], a + b) for b in range(d) for j in range(n)]
-             for a in range(d) for i in range(n)]
-    den = den_r * par._table_den
-    g = gcd(den, *(v for row in table for ent in row for _, v in ent))
+    shared = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            shared[i][j] = shared[j][i] = entries(par_table[i][j])
+    den = unit * par_den
+    g = gcd(den, *(v for i in range(n) for j in range(i, n)
+                   for ent in shared[i][j] for _, v in ent))
     if g != 1:
         den //= g
-        table = [[tuple((idx, v // g) for idx, v in ent) for ent in row] for row in table]
-    return tuple(tuple(row) for row in table), den
+        for i in range(n):
+            for j in range(i, n):
+                shared[i][j] = shared[j][i] = [tuple((idx, v // g) for idx, v in ent)
+                                               for ent in shared[i][j]]
+    return tuple(tuple(shared[i][j][a + b] for b in range(d) for j in range(n))
+                 for a in range(d) for i in range(n)), den
 
 
 def _exact(q) -> Fraction:
@@ -241,22 +282,27 @@ class LocalField:
 
         if steps:
             self._validate_last_step()
-            self._table, self._table_den = _structure_constants(self.parent(),
-                                                                steps[-1].coeffs)
+            par = self.parent()
+            self._table, self._table_den = _structure_constants(par, steps[-1].coeffs)
         else:
             self._table, self._table_den = ((((0, 1),),),), 1
 
-        # residue field: the unramified monomials, with the table reduced mod p;
-        # the monomials are integral, so table_den is prime to p
-        self._unram = tuple(idx for idx, mono in enumerate(self._monomials)
-                            if all(k == 0 or steps[i].kind == "unramified"
-                                   for i, k in enumerate(mono)))
-        pos = {idx: r for r, idx in enumerate(self._unram)}
-        inv = pow(self._table_den, -1, p)
-        self._res_table = tuple(
-            tuple(tuple((pos[k], t * inv % p) for k, t in self._table[i][j]
-                        if k in pos and t * inv % p) for j in self._unram)
-            for i in self._unram)
+        if steps and steps[-1].kind == "eisenstein":
+            # an Eisenstein step adds no unramified monomial, and the parent's
+            # keep their indices and their products
+            self._unram, self._res_table = par._unram, par._res_table
+        else:
+            # residue field: the unramified monomials, with the table reduced
+            # mod p; the monomials are integral, so table_den is prime to p
+            self._unram = tuple(idx for idx, mono in enumerate(self._monomials)
+                                if all(k == 0 or steps[i].kind == "unramified"
+                                       for i, k in enumerate(mono)))
+            pos = {idx: r for r, idx in enumerate(self._unram)}
+            inv = pow(self._table_den, -1, p)
+            self._res_table = tuple(
+                tuple(tuple((pos[k], t * inv % p) for k, t in self._table[i][j]
+                            if k in pos and t * inv % p) for j in self._unram)
+                for i in self._unram)
         # an unramified last step is irreducible mod p exactly when
         # z = t^(q^(d // 2)) - t, q = p^(f / d), is a unit here, that is when
         # the matrix of multiplication by z has a determinant prime to p
@@ -270,7 +316,8 @@ class LocalField:
                 raise ValueError("polynomial is not irreducible over the residue field")
 
         self._class_cache = None
-        self._pi_powers: tuple | None = None
+        # pi^0, pi^1, ... and pi^0, pi^-1, ..., as far as `_pi_power` has read
+        self._pi_powers: tuple[list, list] | None = None
         self._inv_eps_sq: tuple | None = None
 
     # -- construction ---------------------------------------------------------
@@ -407,18 +454,21 @@ class LocalField:
         return PadicElement(self, [int(c * den) for c in vals], den)
 
     def _pi_power(self, k: int) -> "PadicElement":
-        """pi^k for -2e <= k <= 2e, the powers the square class map uses,
-        built on first use and kept in one tuple per field."""
-        e2 = 2 * self.ramification_index
+        """pi^k for -2e <= k <= 2e, the powers the square class map uses.
+
+        They are built as they are read and kept on the field: each side
+        fills outward from pi^0 only as far as the largest |k| read so far,
+        and pi is inverted only when a negative power is first read."""
         if self._pi_powers is None:
-            pi = self.uniformizer()
-            pinv = pi.inverse()
-            up, down = [self.one()], [self.one()]
-            for _ in range(e2):
-                up.append(up[-1] * pi)
-                down.append(down[-1] * pinv)
-            self._pi_powers = tuple(reversed(down)) + tuple(up[1:])
-        return self._pi_powers[e2 + k]
+            self._pi_powers = ([self.one()], [self.one()])
+        powers = self._pi_powers[k < 0]
+        while len(powers) <= abs(k):
+            if len(powers) == 1:
+                pi = self.uniformizer()
+                powers.append(pi if k > 0 else pi.inverse())
+            else:
+                powers.append(powers[-1] * powers[1])
+        return powers[abs(k)]
 
     def _inverse_eps_squared(self) -> tuple:
         """1 / eps^2 in the residue field of a 2-adic field, eps the residue
@@ -480,7 +530,7 @@ class PadicElement:
 
     def _coerce(self, other) -> "PadicElement":
         if isinstance(other, PadicElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         return self.field.rational(other)
@@ -587,15 +637,16 @@ class PadicElement:
 
     def as_string(self) -> str:
         parts = []
-        for a, mono in zip(self.coords(), self.field._monomials):
-            if a == 0:
+        den = self.den
+        for a, mono in zip(self.nums, self.field._monomials):
+            if not a:
                 continue
+            # a / den in lowest terms, written as Fraction writes it
+            g = gcd(a, den)
+            coeff = str(a // g) if g == den else f"{a // g}/{den // g}"
             names = [f"t{i + 1}" + (f"^{k}" if k > 1 else "")
                      for i, k in enumerate(mono) if k > 0]
-            if names:
-                parts.append("*".join([str(a)] + names))
-            else:
-                parts.append(str(a))
+            parts.append("*".join([coeff] + names))
         return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other) -> bool:
@@ -719,9 +770,12 @@ def _class_vector(field: LocalField, nums: tuple, den: int) -> int:
     homomorphism onto F_2^(d + 2).
 
     The work reuses what is fixed per field.  For |v| <= 2e, pi^(-v) comes
-    from the field's table of pi powers, so no power of pi is inverted.  The
-    trace is c + c^2 + ... + c^(2^(f - 1)) for c = a / eps^2, read through
-    f - 1 successive squarings, and 1 / eps^2 is computed once per field.
+    from `_pi_power`, which builds the powers of pi as they are read and
+    keeps them on the field: no power of pi is inverted, and pi itself only
+    once a negative power is read.  So a unit read at valuation -2 takes
+    pi^2 alone and no inverse.  The trace is c + c^2 + ... + c^(2^(f - 1))
+    for c = a / eps^2, read through f - 1 successive squarings, and
+    1 / eps^2 is computed once per field.
     With f = 1 the residue field is F_2 or F_p: for p = 2 every unit has
     residue 1, so the first correction, the square root b = a and eps are
     all 1 and are not computed; for odd p, Euler's criterion is one modular

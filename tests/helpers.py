@@ -36,9 +36,11 @@ greedy square class search without skipping the units of F_p* or of the
 residue fields of unramified steps, and
 `is_square_by_search` and `square_mask_by_search` decide squareness and
 square classes over 2-adic towers by exhaustive search, against the
-library's quadratic-defect reduction, and `det_by_cofactors` is the
+library's quadratic-defect reduction, `det_by_cofactors` is the
 cofactor-expansion determinant that the library's elimination in `norm` is
-compared against.
+compared against, and `as_string_by_fractions` writes an element through
+its Fraction coordinates, where the library reduces each numerator over the
+denominator with one gcd.
 """
 
 import random
@@ -755,3 +757,22 @@ def det_by_cofactors(m: list) -> PadicElement:
         term = a * det_by_cofactors([row[:j] + row[j + 1:] for row in m[1:]])
         total = total - term if j % 2 else total + term
     return total
+
+
+# -- element strings through Fraction coordinates ------------------------------------
+
+
+def as_string_by_fractions(x: PadicElement) -> str:
+    """x written term by term, each nonzero coordinate as its Fraction
+    followed by the names of its monomial's generators."""
+    parts = []
+    for a, mono in zip(x.coords(), x.field._monomials):
+        if a == 0:
+            continue
+        names = [f"t{i + 1}" + (f"^{k}" if k > 1 else "")
+                 for i, k in enumerate(mono) if k > 0]
+        if names:
+            parts.append("*".join([str(a)] + names))
+        else:
+            parts.append(str(a))
+    return " + ".join(parts) if parts else "0"

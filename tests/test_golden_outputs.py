@@ -11,9 +11,12 @@ The documents named in `PINNED` (under `tests/docs`) reach what no
 benchmark document does: analyze jobs in global mode, on six-root
 surfaces, on refused surfaces or on surfaces repeated across jobs, the
 largest `h1` jobs, the regular module of a group of order 128 with and
-without a subgroup, and an `ext-check` whose hom module is
-Hom(Z[D6], Z[D6]), of rank 144.  They are hashed the same way, one sha256
-per document, against `tests/golden_pinned_digests.json`.
+without a subgroup, an `ext-check` whose hom module is
+Hom(Z[D6], Z[D6]), of rank 144, and p-adic towers past the benchmark's
+degree 8: an Eisenstein tower of degree 256 over Q_3, two unramified steps
+over Q_1000003, and analyze jobs over a base of p = 2^61 - 1.  They are
+hashed the same way, one sha256 per document, against
+`tests/golden_pinned_digests.json`.
 
 After a change that alters output on purpose, rewrite the digests with
 
@@ -49,6 +52,9 @@ PINNED = (
     "regular_h1_order_128",
     "regular_h1_order_128_subgroup",
     "ext_check_regular_d6",
+    "eisenstein_tower_degree_256",
+    "two_unramified_steps_1000003",
+    "analyze_large_prime_base",
 )
 MODES = (
     ["--format", "json"],

@@ -26,6 +26,7 @@ from chatelet.padic import (
     valuation,
 )
 from helpers import (
+    as_string_by_fractions,
     det_by_cofactors,
     inverse_by_elimination,
     is_square_by_search,
@@ -423,6 +424,21 @@ def test_element_strings_are_deterministic():
     assert k.describe() == "Q_5[t1]/(t1^2 + (-5))"
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_element_strings_match_the_fraction_rendering(data):
+    # numerators are drawn as multiples of a factor that often divides the
+    # denominator, so coordinates reduce, some to integers, and some are zero
+    field = data.draw(st.sampled_from([LocalField.qp(5), DEG6, DEG8]))
+    n = len(field._monomials)
+    factor = data.draw(st.sampled_from([1, 2, 3, 6, 12]))
+    nums = data.draw(st.lists(st.just(0) | st.integers(-40, 40), min_size=n, max_size=n))
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36]))
+    x = PadicElement(field, [a * factor for a in nums], den)
+    assert x.as_string() == as_string_by_fractions(x)
+    assert repr(x) == f"PadicElement({as_string_by_fractions(x)} in {field.describe()})"
+
+
 def test_field_interning_and_equality():
     a = LocalField.qp(7).extend_eisenstein([-7, 0])
     b = LocalField.qp(7).extend_eisenstein([-7, 0])
@@ -657,6 +673,25 @@ def test_square_class_bytes_are_pinned(name):
     assert got == classes.split()
 
 
+PINNED_DESCRIPTIONS = {
+    "Q2": "Q_2",
+    "Q2(sqrt2)": "Q_2[t1]/(t1^2 + (-2))",
+    "DEG6": "Q_2[t1]/(t1^3 + (1)*t1 + (1))[t2]/(t2^2 + (-2/3))",
+    "DEG8": "Q_2[t1]/(t1^2 + (-2))[t2]/(t2^2 + (1)*t2 + (1))[t3]/(t3^2 + (2)*t3 + (-1*t1))",
+    "Q3 unram": "Q_3[t1]/(t1^2 + (1))",
+    "Q5(sqrt5)": "Q_5[t1]/(t1^2 + (-5))",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FIELDS))
+def test_field_descriptions_are_pinned(name):
+    field = PINNED_FIELDS[name]
+    assert field.describe() == PINNED_DESCRIPTIONS[name]
+    for step in field.steps:
+        for c in step.coeffs:
+            assert c.as_string() == as_string_by_fractions(c)
+
+
 # -- the square class map against the search oracle --------------------------------
 
 _Q2_SQRT2 = Q2.extend_eisenstein([-2, 0])
@@ -883,12 +918,14 @@ def test_structure_constants_match_fraction_oracle(name):
 
 @st.composite
 def small_towers(draw):
-    """Towers of degree at most four over Q_2, Q_3 or Q_5: one step of
-    degree two to four, or two steps of degree two, each unramified or
-    Eisenstein, with coefficient denominators prime to p."""
+    """Towers of degree at most eight over Q_2, Q_3 or Q_5: one step of
+    degree two to four, or steps of shapes (2, 2), (2, 4), (4, 2) and
+    (2, 2, 2), so that a last step sits over a parent of 2 or 4 monomials,
+    each step unramified or Eisenstein, with coefficient denominators prime
+    to p."""
     p = draw(st.sampled_from([2, 3, 5]))
     field = LocalField.qp(p)
-    for d in draw(st.sampled_from([(2,), (3,), (4,), (2, 2)])):
+    for d in draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (2, 4), (4, 2), (2, 2, 2)])):
         n = len(field._monomials)
         dens = st.sampled_from([1, 7, 11])
 
@@ -914,6 +951,53 @@ def small_towers(draw):
 @given(field=small_towers())
 def test_structure_constants_match_fraction_oracle_on_drawn_towers(field):
     _assert_tables_match_oracle(field)
+
+
+def _count_calls(monkeypatch, *names):
+    """A list that gains one entry per call of the named PadicElement methods."""
+    calls = []
+    for name in names:
+        real = getattr(PadicElement, name)
+
+        def counted(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        monkeypatch.setattr(PadicElement, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [DEG8, TABLE_TOWERS["Q3 eis 8 unram"]],
+                         ids=["deg8 eisenstein last", "Q3 deg16 unramified last"])
+def test_a_field_over_a_built_parent_is_built_with_no_element_product(monkeypatch, field):
+    calls = _count_calls(monkeypatch, "__mul__", "__rmul__")
+    fresh = LocalField(field.p, field.steps)
+    assert calls == []
+    assert (fresh._table, fresh._table_den, fresh._res_table) == (
+        field._table, field._table_den, field._res_table)
+
+
+@pytest.mark.parametrize("name", list(TABLE_TOWERS))
+def test_pi_powers_are_the_uniformizer_powers(name):
+    field = TABLE_TOWERS[name]
+    e2 = 2 * field.ramification_index
+    pi = field.uniformizer()
+    # a fresh field, read from pi^(2e) down: the positive side is filled in
+    # one jump, the negative side one power at a time
+    fresh = LocalField(field.p, field.steps)
+    for k in range(e2, -e2 - 1, -1):
+        assert fresh._pi_power(k) == pi ** k, k
+
+
+def test_a_unit_at_negative_valuation_reads_pi_powers_with_no_inverse(monkeypatch):
+    # 1/3 = pi^-2 in Q_3(sqrt3): its class vector reads pi^2 alone
+    field = LocalField(3, TABLE_TOWERS["Q3(sqrt3)"].steps)
+    x = field.rational(Fraction(1, 3))
+    assert x.valuation() == -2
+    calls = _count_calls(monkeypatch, "inverse")
+    assert _class_vector.__wrapped__(field, x.nums, x.den) == 0
+    assert calls == []
+    assert [len(side) for side in field._pi_powers] == [3, 1]
 
 
 # -- square class generators at odd p with even residue degree -----------------------
