@@ -473,8 +473,10 @@ def _check_subgroup(spec, group, path, errors):
 
 
 # json.dumps(spec, sort_keys=True) without building an encoder per call: the
-# same text, and the same errors
-_spec_text = json.JSONEncoder(sort_keys=True).encode
+# same text.  It keeps no record of the containers it is inside: a document
+# read by json.loads cannot hold itself, and a Python spec that does, like
+# one nested too deep, raises RecursionError and is only checked (`_build`)
+_spec_text = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 class _Refused(Exception):
@@ -494,7 +496,9 @@ def _resolve(check, text, *over):
 
 def _build(check, spec, path, errors, *over):
     """check(spec, *over, path, errors), resolved once per JSON text of spec
-    (key order does not matter) and objects it is built over.
+    (key order does not matter) and objects it is built over.  A check may
+    build the specs it holds with _build in turn, so those are resolved only
+    when the outer spec is not yet known.
 
     A spec that fails reports the same errors at each path.  A spec that
     cannot be written as JSON text, or read back from it, is only checked."""
@@ -650,11 +654,10 @@ def _prep_analyze(job, path, errors, trace):
     surface_spec = _as_object(job.get("surface"), f"{path}.surface", errors)
     if surface_spec is None:
         return None
-    base_spec = surface_spec.get("base", "Q")
-    is_global = base_spec == "Q"
+    known = len(errors)
+    surface = _build(_check_surface, surface_spec, f"{path}.surface", errors)
 
-    if is_global:
-        surface = _build(_check_surface, surface_spec, f"{path}.surface", errors, None)
+    if surface_spec.get("base", "Q") == "Q":
         ext_spec = _as_object(job.get("extension"), f"{path}.extension", errors)
         if surface is None or ext_spec is None:
             return None
@@ -685,14 +688,13 @@ def _prep_analyze(job, path, errors, trace):
 
         return execute
 
-    base = _build(_check_field, base_spec, f"{path}.surface.base", errors)
-    if base is None:
+    # a bad base is reported alone: the extension is not read
+    if surface is None and errors[known].startswith(f"{path}.surface.base"):
         return None
-    surface = _build(_check_surface, surface_spec, f"{path}.surface", errors, base)
     extension = _build(_check_field, job.get("extension"), f"{path}.extension", errors)
     if surface is None or extension is None:
         return None
-    if not _is_prefix(base, extension):
+    if not _is_prefix(surface.base, extension):
         _err(errors, f"{path}.extension",
              "must be a tower extension of the surface base field")
         return None
@@ -714,12 +716,19 @@ def _rational(raw):
     raise ExpressionError("expected a rational like 3 or -5/7")
 
 
-def _check_surface(spec, base, path, errors):
-    """The surface of spec over the LocalField base, or over Q when base is
-    None: d and each root are read as elements of base, or as rationals."""
-    if base is None:
+def _check_surface(spec, path, errors):
+    """The surface of spec over its base: the local field of spec["base"],
+    or Q when that is "Q" or absent.  d and each root are read as elements of
+    the base, or as rationals.  The base is built from its own spec, so a
+    surface spec resolved once needs no base lookup again."""
+    base_spec = spec.get("base", "Q")
+    if base_spec == "Q":
         parse, make = _rational, RationalChateletSurface
     else:
+        base = _build(_check_field, base_spec, f"{path}.base", errors)
+        if base is None:
+            return None
+
         def parse(raw):
             return parse_element(raw, base)
 
@@ -748,10 +757,22 @@ def _check_surface(spec, base, path, errors):
 
 
 def _report_dict(report, trace):
-    data = {"type": "analyze", **report.as_dict()}
-    if not trace:
+    """The result of an analyze job: the report's fields, with its rule
+    trace, assumptions and conventions only under --trace."""
+    data = {
+        "type": "analyze",
+        "base": report.base,
+        "extension": report.extension,
+        "degree": report.degree,
+        "half_degree": report.half_degree,
+        "degenerate": report.degenerate,
+        "brauer_invariants": (None if report.brauer_invariants is None
+                              else list(report.brauer_invariants)),
+        "verdicts": dict(report.verdicts),
+    }
+    if trace:
         for key in ("rule_trace", "assumptions", "conventions"):
-            del data[key]
+            data[key] = list(getattr(report, key))
     return data
 
 
@@ -817,7 +838,9 @@ def _to_json(value) -> str:
     and a Smith transform is hundreds of integers.  Here the text goes into
     one list of pieces joined once: a list of integers is joined in one
     step, and a string, integer or boolean value of a dict is written in
-    place, not by a call of its own.  Strings, integers, booleans, None,
+    place, not by a call of its own.  A dict is written through the layout
+    of its keys (`_layout`), so a batch of results of the same shapes sorts
+    and encodes each shape's keys once.  Strings, integers, booleans, None,
     nonempty lists and string-keyed dicts are written here; every other
     value is left to json.dumps, so the bytes are the same.
     """
@@ -826,14 +849,27 @@ def _to_json(value) -> str:
     return "".join(out)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _layout(keys: tuple, indent: str):
+    """The text around the values of a dict with these keys written at
+    indent: (key, text before its value) in sorted key order, and the
+    closing text.  None when a key is not a string."""
+    if not all(type(k) is str for k in keys):
+        return None
+    inner = indent + "  "
+    before = ["{\n" + inner] + [",\n" + inner] * (len(keys) - 1)
+    return ([(k, b + encode_basestring_ascii(k) + ": ") for b, k in zip(before, sorted(keys))],
+            f"\n{indent}}}")
+
+
 def _write_json(value, indent: str, out: list) -> None:
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
         return
     inner = indent + "  "
-    first, sep = "\n" + inner, ",\n" + inner
     if type(value) is list and value:
+        first, sep = "\n" + inner, ",\n" + inner
         if all(type(x) is int for x in value):
             out += "[", first, sep.join(map(int.__repr__, value)), f"\n{indent}]"
             return
@@ -843,23 +879,25 @@ def _write_json(value, indent: str, out: list) -> None:
             first = sep
             _write_json(x, inner, out)
         out.append(f"\n{indent}]")
-    elif type(value) is dict and value and all(type(k) is str for k in value):
-        out.append("{")
-        for k, v in sorted(value.items()):
-            out += first, encode_basestring_ascii(k), ": "
-            first = sep
-            t = type(v)
-            if t is str:
-                out.append(encode_basestring_ascii(v))
-            elif t is int:
-                out.append(int.__repr__(v))
-            elif t is bool:
-                out.append("true" if v else "false")
-            else:
-                _write_json(v, inner, out)
-        out.append(f"\n{indent}}}")
-    else:
+        return
+    layout = _layout(tuple(value), indent) if type(value) is dict and value else None
+    if layout is None:
         out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+        return
+    pairs, close = layout
+    for k, before in pairs:
+        out.append(before)
+        v = value[k]
+        t = type(v)
+        if t is str:
+            out.append(encode_basestring_ascii(v))
+        elif t is int:
+            out.append(int.__repr__(v))
+        elif t is bool:
+            out.append("true" if v else "false")
+        else:
+            _write_json(v, inner, out)
+    out.append(close)
 
 
 def _render_text(results) -> str:

@@ -34,9 +34,9 @@ from .intmat import (
 # entries kept by each lru_cache of the library: hom_module, h0 and h1, the
 # surfaces descent verdicts (one key per extension degree), the padic fields,
 # class vectors and restriction images, and the CLI's element expressions
-# (`_evaluate`), specs (`_resolve`) and parsed argument lists.  A benchmark
-# pass asks them for at most 45, 86, 140, 3, 67, 83, 63, 172, 228 and 1
-# distinct keys, so none is evicted
+# (`_evaluate`), specs (`_resolve`), parsed argument lists and dict layouts
+# of its JSON output (`_layout`).  A benchmark pass asks them for at most 45,
+# 86, 140, 3, 67, 83, 63, 172, 228, 1 and 6 distinct keys, so none is evicted
 CACHE_SIZE = 256
 
 

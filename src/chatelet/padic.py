@@ -573,7 +573,10 @@ class PadicElement:
         return PadicElement(field, _contract(field._table, self.nums, o.nums),
                             self.den * o.den * field._table_den)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # through the class's __mul__ as it is at call time, so a wrapped
+        # __mul__ also sees reflected products such as 2 * x
+        return self * other
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()

@@ -547,8 +547,9 @@ def _library_caches():
 def test_a_benchmark_pass_evicts_nothing(workload, monkeypatch, capsys):
     caches = _library_caches()
     assert set(caches) == {
-        "chatelet.cli._evaluate", "chatelet.cli._parse_args", "chatelet.cli._resolve",
-        "chatelet.cohomology.h0", "chatelet.cohomology.h1", "chatelet.modules.hom_module",
+        "chatelet.cli._evaluate", "chatelet.cli._layout", "chatelet.cli._parse_args",
+        "chatelet.cli._resolve", "chatelet.cohomology.h0", "chatelet.cohomology.h1",
+        "chatelet.modules.hom_module",
         "chatelet.padic._class_vector", "chatelet.padic._restriction_images",
         "chatelet.padic.LocalField.make", "chatelet.surfaces._descent_verdicts"}
     for cache in caches.values():
@@ -640,13 +641,13 @@ def test_a_repeated_surface_is_built_once():
     cli._resolve.cache_clear()
     results, errors = run(doc(LOCAL_JOB, GLOBAL_JOB, LOCAL_JOB, GLOBAL_JOB, LOCAL_JOB))
     assert errors is None and results[0] == results[2] == results[4]
-    # the base field, the local surface, the extension and the global surface
-    assert cli._resolve.cache_info().misses == 4
+    # the base field, the local surface, the extension and the global surface;
+    # a repeated local job looks up its surface and extension only
+    assert cli._resolve.cache_info()[:2] == (5, 4)
     errors = []
-    base = cli._build(cli._check_field, {"p": 5}, "base", errors)
     reordered = {"roots": ["1", "2", "3", "4"], "d": "2", "base": {"p": 5}}
-    surface = cli._build(cli._check_surface, LOCAL_SURFACE, "surface", errors, base)
-    assert cli._build(cli._check_surface, reordered, "surface", errors, base) is surface
+    surface = cli._build(cli._check_surface, LOCAL_SURFACE, "surface", errors)
+    assert cli._build(cli._check_surface, reordered, "surface", errors) is surface
     assert errors == [] and cli._resolve.cache_info().misses == 4
 
 
@@ -654,10 +655,13 @@ def test_one_surface_spec_over_two_bases_is_two_surfaces():
     cli._resolve.cache_clear()
     errors = []
     spec = {"d": "2", "roots": ["1", "2", "3", "4"]}
-    bases = [LocalField.qp(5), LocalField.qp(5).extend_eisenstein([5, 0])]
-    surfaces = [cli._build(cli._check_surface, spec, "surface", errors, K) for K in bases]
-    assert errors == [] and [S.base for S in surfaces] == bases
-    assert cli._resolve.cache_info().currsize == 2
+    bases = [{"p": 5}, {"p": 5, "steps": [{"kind": "eisenstein", "poly": [5, 0]}]}]
+    surfaces = [cli._build(cli._check_surface, {**spec, "base": K}, "surface", errors)
+                for K in bases]
+    assert errors == [] and [S.base for S in surfaces] == [
+        LocalField.qp(5), LocalField.qp(5).extend_eisenstein([5, 0])]
+    # the two bases and the two surfaces
+    assert cli._resolve.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("surface, message", [
@@ -689,11 +693,27 @@ def test_a_repeated_bad_surface_is_reported_at_each_path(surface, message):
       "extension.steps[0].poly: expected at least 2 entries"]),
     ({**GLOBAL_SURFACE, "d": 4}, None,
      ["surface: d must be a rational nonsquare", "extension: expected an object"]),
+    # a good surface is kept by the first run, and its base is not read again
+    (LOCAL_SURFACE, {"p": "x"}, ["extension.p: expected an integer"]),
+    (LOCAL_SURFACE, {"p": 7}, ["extension: must be a tower extension of the surface base field"]),
 ])
 def test_a_bad_surface_and_a_bad_extension_report_as_before(surface, extension, errors):
     job = _analyze(surface, extension)
     for _ in range(2):  # built, then resolved
         assert run(doc(job)) == (None, [f"jobs[0].{e}" for e in errors])
+
+
+def test_a_circular_spec_is_checked_and_reports_its_error():
+    # no JSON reader returns a circular value, but run takes Python objects
+    field = {"p": 4}
+    field["note"] = field
+    job = {"type": "square-class", "field": field, "elements": ["2"]}
+    for _ in range(2):
+        assert run(doc(job)) == (None, ["jobs[0].field.p: p must be prime"])
+    surface = {**LOCAL_SURFACE, "d": "2 +"}
+    surface["note"] = [surface]
+    assert run(doc(_analyze(surface, {"p": 5}))) == (
+        None, ["jobs[0].surface.d: expected a number, generator, or parenthesis"])
 
 
 def test_a_spec_too_deep_to_write_as_text_is_still_built():
@@ -1065,7 +1085,25 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(value=_json_values)
 def test_to_json_matches_json_dumps(value):
-    assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    # the second time, each dict shape is written through its kept layout
+    assert cli._to_json(value) == cli._to_json(value) == expected
+    cli._layout.cache_clear()
+    assert cli._to_json(value) == expected
+
+
+def test_the_layout_cache_is_bounded():
+    cli._layout.cache_clear()
+    for k in range(CACHE_SIZE + 12):
+        value = {f"key{k}": k, "b": [{"c": True}]}
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    info = cli._layout.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+    # every outer shape once, and the inner {"c": ...} once
+    assert info.misses == CACHE_SIZE + 13 and info.hits == CACHE_SIZE + 11
+    newest = {f"key{CACHE_SIZE + 11}": 0, "b": []}
+    assert cli._to_json(newest) == json.dumps(newest, indent=2, sort_keys=True)
+    assert cli._layout.cache_info().hits == info.hits + 1
 
 
 # keys of mixed types cannot be sorted, and NaN has no standard JSON text

@@ -977,6 +977,13 @@ def test_a_field_over_a_built_parent_is_built_with_no_element_product(monkeypatc
         field._table, field._table_den, field._res_table)
 
 
+def test_a_reflected_product_goes_through_mul(monkeypatch):
+    x = DEG8.gen(0)
+    calls = _count_calls(monkeypatch, "__mul__")
+    assert 2 * x == x * 2 == x + x
+    assert calls == ["__mul__", "__mul__"]
+
+
 @pytest.mark.parametrize("name", list(TABLE_TOWERS))
 def test_pi_powers_are_the_uniformizer_powers(name):
     field = TABLE_TOWERS[name]
