@@ -7,9 +7,10 @@ g |-> phi(g) . action_M(g)^{-1} is a 1-cocycle with values in Hom(M, N), and
 Ext^1(M, N) = H^1(G, Hom(M, N)).
 
 Restriction, corestriction, pushout and pullback of extensions are all
-implemented on the phi blocks directly; the commuting-square checker at the
-bottom compares a norm-multiple pushout against the restrict/push/corestrict
-route and reports witnesses either way.
+implemented on the phi blocks directly, corestriction as the same coset
+transfer that `corestriction_map` sums on cocycles.  The commuting-square
+checker at the bottom compares a norm-multiple pushout against the
+restrict/push/corestrict route and reports witnesses either way.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from .modules import (
     GModule,
     GModuleMap,
     HomModule,
-    _coset_blocks,
     _stacked_relations,
     hom_module,
-    ind_counit,
-    ind_unit,
     restrict_module,
 )
 from .values import Value
@@ -141,21 +139,35 @@ def res_ext(E: ExtensionClass, H: Subgroup) -> ExtensionClass:
 def cores_ext(E: ExtensionClass, H: Subgroup, M: GModule, N: GModule) -> ExtensionClass:
     """Corestriction of extensions: Ext^1_H(Res M, Res N) -> Ext^1_G(M, N).
 
-    The extension is induced up to G coset by coset, then pulled back along
-    the unit M -> Ind(Res M) and pushed out along the counit Ind(Res N) -> N.
-    On twisted cocycles this is exactly the coset transfer.
+    The coset transfer on the phi blocks: with g r_i = r_j h for the left
+    coset representatives r_i of H,
+
+      phi'(g) = sum over cosets i of N(r_j) . phi_E(h) . M(r_i^{-1}).
+
+    This is the extension induced up to G, pulled back along the unit
+    M -> Ind(Res M), m |-> sum over i of (copy i of r_i^{-1} m), and pushed
+    out along the counit Ind(Res N) -> N, (copy j of n) |-> r_j n: g sends
+    copy i to copy j through phi_E(h), so counit . blocks(g) . unit is the
+    sum above.  On twisted cocycles it is the transfer of
+    `corestriction_map`.
     """
     G = H.parent
     if M.group != G or N.group != G:
         raise ValueError("M and N must be modules over the subgroup's parent")
     if E.quot != restrict_module(M, H) or E.sub != restrict_module(N, H):
         raise ValueError("extension is not between the restrictions of M and N")
-    rn, rm = E.sub.rank, E.quot.rank
-    unit = ind_unit(M, H)
-    counit = ind_counit(N, H)
-    phi = [counit.matrix @ _coset_blocks(H, g, E.phi.__getitem__, rn, rm) @ unit.matrix
-           for g in G.elements()]
-    return ExtensionClass(G, N, M, phi)
+    reps = H.left_coset_reps()
+    unit = [M.act(G.inv(rep)) for rep in reps]
+    counit = [N.act(rep) for rep in reps]
+
+    def transfer(g: int) -> IntMatrix:
+        total = IntMatrix.zeros(N.rank, M.rank)
+        for i, back in enumerate(unit):
+            j, h_par = H.transfer_factor(g, i)
+            total = total + counit[j] @ E.phi[H.locate(h_par)] @ back
+        return total
+
+    return ExtensionClass(G, N, M, [transfer(g) for g in G.elements()])
 
 
 def scaled_map(f: GModuleMap, n: int) -> GModuleMap | None:

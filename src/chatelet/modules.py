@@ -5,14 +5,13 @@ integer matrix per group element.  Action matrices only need to satisfy the
 module axioms modulo the relation lattice, so finite coefficient modules such
 as Z/2 with a twisted action fit without any special casing.
 
-The constructors at the bottom (restriction, induction, hom modules and the
-unit/counit of induction) are the building blocks for everything the
-cohomology layer does.
+The constructors at the bottom (restriction, induction and hom modules) are
+the building blocks for everything the cohomology layer does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import product
 from operator import index
@@ -25,10 +24,8 @@ from .intmat import (
     _coordinates,
     _lattice_basis,
     block_diagonal,
-    hstack,
     reduce_mod,
     solution_lattice,
-    vstack,
 )
 
 # entries kept by each lru_cache of the library: hom_module, h0 and h1, the
@@ -360,57 +357,27 @@ def restrict_module(M: GModule, H: Subgroup) -> GModule:
                    name=f"Res({M.name})", check=False)
 
 
-def _coset_blocks(H: Subgroup, g: int, block_of_h: Callable[[int], IntMatrix],
-                  rows: int, cols: int) -> IntMatrix:
-    """g's transfer across the left cosets of H, one block per coset.
-
-    The (j, i) block is block_of_h(h) when g r_i = r_j h, and zero otherwise;
-    blocks are rows x cols and h is an element of H.group.
-    """
-    n = H.index
-    out = [[0] * (n * cols) for _ in range(n * rows)]
-    for i in range(n):
-        j, h_par = H.transfer_factor(g, i)
-        block = block_of_h(H.locate(h_par))
-        for a in range(rows):
-            out[j * rows + a][i * cols:(i + 1) * cols] = block.rows[a]
-    return IntMatrix._wrap(out, n * cols)
-
-
 def induce_module(M: GModule, H: Subgroup) -> GModule:
     """Induction from a subgroup to its parent.
 
     M must be a module over H.group.  The underlying group is a direct sum of
     one copy of M per left coset; g sends the copy at coset i to the copy at
-    coset j through the subgroup factor h of g * r_i = r_j * h.
+    coset j through the subgroup factor h of g * r_i = r_j * h, so the (j, i)
+    block of g's matrix is M(h) and the other blocks are zero.
     """
     if M.group != H.group:
         raise ValueError("module is not over the given subgroup")
     n, r = H.index, M.rank
     relations = _block_relations(M.relations, n, r)
-    mats = [_coset_blocks(H, g, M.act, r, r) for g in H.parent.elements()]
+    mats = []
+    for g in H.parent.elements():
+        out = [[0] * (n * r) for _ in range(n * r)]
+        for i in range(n):
+            j, h_par = H.transfer_factor(g, i)
+            for a, row in enumerate(M.act(H.locate(h_par)).rows):
+                out[j * r + a][i * r:(i + 1) * r] = row
+        mats.append(IntMatrix._wrap(out, n * r))
     return GModule(H.parent, n * r, relations, mats, name=f"Ind({M.name})", check=False)
-
-
-def ind_unit(M: GModule, H: Subgroup) -> GModuleMap:
-    """The unit M -> Ind(Res(M)) of induction, m |-> sum over cosets of
-    (copy at coset i of r_i^{-1} m).  Equivariant over the full group."""
-    if H.parent != M.group:
-        raise ValueError("subgroup belongs to a different group")
-    target = induce_module(restrict_module(M, H), H)
-    reps = H.left_coset_reps()
-    blocks = [M.act(M.group.inv(rep)) for rep in reps]
-    return GModuleMap(M, target, vstack(*blocks), check=False)
-
-
-def ind_counit(M: GModule, H: Subgroup) -> GModuleMap:
-    """The counit Ind(Res(M)) -> M, (copy at coset i of m) |-> r_i m."""
-    if H.parent != M.group:
-        raise ValueError("subgroup belongs to a different group")
-    source = induce_module(restrict_module(M, H), H)
-    reps = H.left_coset_reps()
-    blocks = [M.act(rep) for rep in reps]
-    return GModuleMap(source, M, hstack(*blocks), check=False)
 
 
 # -- hom modules -----------------------------------------------------------------

@@ -454,7 +454,8 @@ class LocalField:
         return PadicElement(self, [int(c * den) for c in vals], den)
 
     def _pi_power(self, k: int) -> "PadicElement":
-        """pi^k for -2e <= k <= 2e, the powers the square class map uses.
+        """pi^k for -2e <= k <= 2e + 1: the powers the square class map uses,
+        and the candidates 1 + pi^k * monomial of the square class pool.
 
         They are built as they are read and kept on the field: each side
         fills outward from pi^0 only as far as the largest |k| read so far,
@@ -901,11 +902,10 @@ def _square_class_pool(K: LocalField):
             yield g
             for c in range(1, K.p):
                 yield g + K.integer(c)
-    pi = K.uniformizer()
     e2 = K.ramification_index if K.p == 2 else 0
     for j in range(1, 2 * e2 + 2):
         for m in range(len(K._monomials)):
-            yield K.one() + pi ** j * K._monomial(m)
+            yield K.one() + K._pi_power(j) * K._monomial(m)
     if K.p != 2:
         # lifts of every residue; for odd p a unit is a square exactly when
         # its residue is, so this pool always spans

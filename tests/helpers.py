@@ -3,7 +3,8 @@
 Random modules are drawn from a library of constructions that are valid by
 construction (trivial modules, coset permutation modules, index-two sign
 twists, direct sums, hom modules), so seeded loops never have to reject and
-retry action matrices.
+retry action matrices; `module_from_spec` names one of the first three for
+a fixed list of cases.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
 the general cocycle machinery against, `h1_reference` is the closing-edge
@@ -21,7 +22,12 @@ solve through the product C I that the library skips,
 and generators through its whole Smith transform, where the library keeps
 only the rows it reads, `hom_action_by_conjugation` builds the action of a hom module by
 conjugating with every group element, where the library conjugates with
-the generators only, the `*_all_pairs` checks test the module, cocycle and
+the generators only, `cores_ext_by_induction` corestricts an extension
+by inducing its total module and pulling back along the unit `ind_unit`
+and pushing out along the counit `ind_counit`, where the library sums the
+coset transfer on its blocks, `mackey_res_cor` and `mackey_res_cor_ext`
+compute res^G_K cor^G_H on H^1 and on Ext^1 by Mackey's double-coset
+formula, the `*_all_pairs` checks test the module, cocycle and
 permutation-action laws on every pair of group elements where the library
 tests generator edges only, `reference_mul` is an independent product for
 p-adic towers that the tests compare the library's structure-constant
@@ -50,6 +56,7 @@ from itertools import chain, islice, product
 from math import lcm
 
 from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
+from chatelet.extensions import ExtensionClass, class_of, cores_ext, ext1
 from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
 from chatelet.intmat import (
     IntMatrix,
@@ -64,12 +71,16 @@ from chatelet.intmat import (
     smith_normal_form,
     solution_lattice,
     unimodular_inverse,
+    vstack,
 )
 from chatelet.modules import (
     GModule,
+    GModuleMap,
     direct_sum,
     hom_module,
+    induce_module,
     permutation_module,
+    restrict_module,
     trivial_module,
 )
 from chatelet.padic import (
@@ -82,11 +93,17 @@ from chatelet.padic import (
 )
 
 
-def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets") -> GModule:
-    """Free module on the left cosets of H with the translation action."""
+def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets",
+                             modulus: int = 0) -> GModule:
+    """Free module (over Z, or Z/modulus) on the left cosets of H with the
+    translation action."""
     reps = H.left_coset_reps()
     perms = [tuple(H.coset_of(G.mul(g, r)) for r in reps) for g in G.elements()]
-    return permutation_module(G, perms, name=name)
+    M = permutation_module(G, perms, name=name)
+    if not modulus:
+        return M
+    relations = [tuple(modulus if i == j else 0 for j in range(M.rank)) for i in range(M.rank)]
+    return GModule(G, M.rank, relations, M.action, name=name, check=False)
 
 
 def index_two_sign_module(G: FiniteGroup, K: Subgroup,
@@ -97,6 +114,18 @@ def index_two_sign_module(G: FiniteGroup, K: Subgroup,
     mats = [IntMatrix([[1 if K.contains(g) else -1]]) for g in G.elements()]
     relations = [(modulus,)] if modulus else ()
     return GModule(G, 1, relations, mats, name="sign", check=False)
+
+
+def module_from_spec(G: FiniteGroup, kind: str, elements=(), modulus: int = 0) -> GModule:
+    """A small module named by a spec: the trivial Z/modulus ("trivial"), the
+    free Z/modulus module on the cosets of the subgroup with these elements
+    ("cosets"), or the sign twist by that index-two subgroup ("sign")."""
+    if kind == "trivial":
+        return trivial_module(G, relations=[(modulus,)] if modulus else ())
+    S = Subgroup(G, elements)
+    if kind == "cosets":
+        return coset_permutation_module(G, S, modulus=modulus)
+    return index_two_sign_module(G, S, modulus=modulus)
 
 
 def module_library(G: FiniteGroup, rng: random.Random) -> list[GModule]:
@@ -458,6 +487,113 @@ def hom_action_by_conjugation(M: GModule, N: GModule) -> list:
     return [IntMatrix.from_columns([hm.coords_of(N.act(g) @ F @ M.act(G.inv(g))) for F in gens],
                                    nrows=n)
             for g in G.elements()]
+
+
+# -- corestriction by induction, and Mackey's double-coset formula ---------------
+
+
+def ind_unit(M: GModule, H: Subgroup) -> GModuleMap:
+    """The unit M -> Ind(Res(M)) of induction, m |-> sum over cosets of
+    (copy at coset i of r_i^{-1} m).  Equivariant over the full group."""
+    target = induce_module(restrict_module(M, H), H)
+    blocks = [M.act(M.group.inv(rep)) for rep in H.left_coset_reps()]
+    return GModuleMap(M, target, vstack(*blocks), check=False)
+
+
+def ind_counit(N: GModule, H: Subgroup) -> GModuleMap:
+    """The counit Ind(Res(N)) -> N, (copy at coset j of n) |-> r_j n."""
+    source = induce_module(restrict_module(N, H), H)
+    blocks = [N.act(rep) for rep in H.left_coset_reps()]
+    return GModuleMap(source, N, hstack(*blocks), check=False)
+
+
+def cores_ext_by_induction(E: ExtensionClass, H: Subgroup, M: GModule,
+                           N: GModule) -> ExtensionClass:
+    """Corestriction of an extension over H to one of M by N over H's parent,
+    by the induction route: E's total module is induced up to the parent, the
+    block of each g from the quot copies to the sub copies is read off, and
+    that extension of Ind(Res M) by Ind(Res N) is pulled back along the unit
+    and pushed out along the counit."""
+    rn, rm = E.sub.rank, E.quot.rank
+    width = rn + rm
+    cosets = range(H.index)
+    sub_rows = [i * width + a for i in cosets for a in range(rn)]
+    quot_cols = [i * width + rn + b for i in cosets for b in range(rm)]
+    induced = induce_module(E.total_module(), H)
+    unit, counit = ind_unit(M, H), ind_counit(N, H)
+    phi = []
+    for g in H.parent.elements():
+        rows = induced.act(g).rows
+        block = IntMatrix([[rows[r][c] for c in quot_cols] for r in sub_rows],
+                          ncols=len(quot_cols))
+        phi.append(counit.matrix @ block @ unit.matrix)
+    return ExtensionClass(H.parent, N, M, phi)
+
+
+def double_coset_reps(K: Subgroup, H: Subgroup) -> list[int]:
+    """One element g of each double coset K g H of their common parent."""
+    G = H.parent
+    seen, reps = set(), []
+    for g in G.elements():
+        if g not in seen:
+            reps.append(g)
+            seen.update(G.mul(G.mul(k, g), h) for k in K.elements for h in H.elements)
+    return reps
+
+
+def _conjugate_into(K: Subgroup, H: Subgroup, g: int) -> dict[int, int]:
+    """l |-> g^-1 l g on L = K cap g H g^-1, as parent elements."""
+    G = H.parent
+    g_inv = G.inv(g)
+    conj = {l: G.mul(G.mul(g_inv, l), g) for l in K.elements}
+    return {l: h for l, h in conj.items() if H.contains(h)}
+
+
+def mackey_res_cor(H: Subgroup, K: Subgroup, M: GModule, cocycle) -> dict:
+    """res^G_K cor^G_H of a 1-cocycle of H with values in M (a module over
+    the parent G), by Mackey's formula: the sum over double cosets K g H of
+    cor^K_L c_g res^H_{H cap g^-1 K g}, with L = K cap g H g^-1 and
+    (c_g f)(l) = g . f(g^-1 l g).  cor^K_L is the coset transfer
+    k t = u l |-> u . f(l) over left coset representatives t of L in K.
+    Returns a cocycle of K, keyed by K's local elements."""
+    G = H.parent
+    total = {k: [0] * M.rank for k in K.elements}
+    for g in double_coset_reps(K, H):
+        conj = {l: M.act(g).apply(cocycle[H.locate(h)])
+                for l, h in _conjugate_into(K, H, g).items()}
+        reps, covered = [], set()
+        for t in K.elements:
+            if t not in covered:
+                reps.append(t)
+                covered.update(G.mul(t, l) for l in conj)
+        for k in K.elements:
+            for t in reps:
+                kt = G.mul(k, t)
+                u = next(u for u in reps if G.mul(G.inv(u), kt) in conj)
+                value = M.act(u).apply(conj[G.mul(G.inv(u), kt)])
+                total[k] = [a + b for a, b in zip(total[k], value)]
+    return {K.locate(k): tuple(v) for k, v in total.items()}
+
+
+def mackey_res_cor_ext(E: ExtensionClass, H: Subgroup, K: Subgroup, M: GModule,
+                       N: GModule) -> tuple:
+    """The class of res^G_K cor^G_H of an extension E over H (of Res M by
+    Res N) in Ext^1_K(Res M, Res N), by Mackey's formula: the sum over double
+    cosets K g H of the classes of cor^K_L of the extension over
+    L = K cap g H g^-1 with blocks N(g) . phi_E(g^-1 l g) . M(g^-1)."""
+    G = H.parent
+    MK, NK = restrict_module(M, K), restrict_module(N, K)
+    ext = ext1(K.group, MK, NK)
+    total = ext.zero_coords()
+    for g in double_coset_reps(K, H):
+        conj = _conjugate_into(K, H, g)
+        L = Subgroup(K.group, [K.locate(l) for l in conj])
+        phi = [N.act(g) @ E.phi[H.locate(conj[K.embed(L.embed(i))])] @ M.act(G.inv(g))
+               for i in L.group.elements()]
+        C = ExtensionClass(L.group, restrict_module(NK, L), restrict_module(MK, L), phi)
+        cls = class_of(cores_ext(C, L, MK, NK), ext)
+        total = tuple(a + b for a, b in zip(total, cls))
+    return ext.reduce_coords(total)
 
 
 # -- reference multiplication for p-adic towers -----------------------------------

@@ -46,6 +46,8 @@ from helpers import (
     h1_cyclic,
     h1_reference,
     index_two_sign_module,
+    mackey_res_cor,
+    module_from_spec,
     module_library,
     random_cocycle,
     random_module,
@@ -378,6 +380,48 @@ def test_cor_res_identity_randomized():
             cocycle, coords = random_cocycle(coh, rng)
             expected = coh.reduce_coords([n * x for x in coords])
             assert comp.apply(coords) == expected
+
+
+S3, D4, Q8, S4 = symmetric_group(3), dihedral_group(4), quaternion_group(), symmetric_group(4)
+C2xS3, D6 = direct_product(C2, S3), dihedral_group(6)
+# the even permutations of S4, whose elements are listed in lexicographic order
+A4 = (0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23)
+
+# (group, H, K, module spec): res^G_K cor^G_H on H^1 against Mackey's
+# double-coset formula.  The free Z/n modules on the cosets of a non-normal
+# subgroup are ones on which conjugation moves classes, so dropping the
+# g-action of c_g changes the sum there
+MACKEY_CASES = [
+    (S3, (0, 1), (0, 2), ("cosets", (0, 1), 2)),
+    (S3, (0, 2), (0, 1, 2, 3, 4, 5), ("cosets", (0, 1), 4)),
+    (S3, (0, 3, 4), (0, 1), ("trivial", (), 6)),
+    (D4, (0, 4), (0, 6), ("cosets", (0, 4), 4)),
+    (D4, (0, 2, 4, 6), (0, 4), ("cosets", (0, 4), 2)),
+    (D4, (0, 5), (0, 2, 4, 6), ("sign", (0, 1, 2, 3), 4)),
+    (Q8, (0, 1, 2, 3), (0, 1, 2, 3), ("sign", (0, 1, 2, 3), 4)),
+    (Q8, (0, 1), (0, 1, 4, 5), ("trivial", (), 4)),
+    (S4, (0, 1, 2, 3, 4, 5), (0, 2, 6, 8, 12, 14), ("cosets", (0, 1, 6, 7), 2)),
+    (S4, (0, 1, 2, 3, 4, 5), (0, 8, 12), ("cosets", (0, 1, 6, 7), 2)),
+    (S4, A4, (0, 1, 14, 15, 20, 21), ("sign", A4, 3)),
+    (C2xS3, (0, 1), (0, 2, 6, 8), ("cosets", (0, 1), 2)),
+    (C2xS3, (0, 3, 4, 6, 9, 10), (0, 1), ("sign", (0, 1, 2, 3, 4, 5), 4)),
+    (D6, (0, 6), (0, 3, 8, 11), ("cosets", (0, 6), 2)),
+    (D6, (0, 2, 4), (0, 6), ("trivial", (), 6)),
+]
+
+
+def test_res_after_cor_on_h1_is_the_double_coset_sum():
+    for G, h_elements, k_elements, spec in MACKEY_CASES:
+        H, K = Subgroup(G, h_elements), Subgroup(G, k_elements)
+        M = module_from_spec(G, *spec)
+        source = h1(H.group, restrict_module(M, H))
+        target = h1(K.group, restrict_module(M, K))
+        assert source.invariants
+        composite = corestriction_map(H, M).then(restriction_map(K, M))
+        units = IntMatrix.identity(len(source.invariants)).rows
+        for unit, cocycle in zip(units, source.generator_cocycles()):
+            oracle = target.coords_of_cocycle(mackey_res_cor(H, K, M, cocycle))
+            assert composite.apply(unit) == oracle
 
 
 def test_shapiro_invariants():

@@ -17,7 +17,13 @@ from chatelet.extensions import (
     res_ext,
     scaled_map,
 )
-from chatelet.groups import Subgroup, cyclic_group, trivial_subgroup
+from chatelet.groups import (
+    Subgroup,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+    trivial_subgroup,
+)
 from chatelet.intmat import IntMatrix
 from chatelet.modules import (
     GModule,
@@ -26,11 +32,20 @@ from chatelet.modules import (
     restrict_module,
     trivial_module,
 )
-from helpers import index_two_sign_module, random_module
+from helpers import (
+    cores_ext_by_induction,
+    index_two_sign_module,
+    mackey_res_cor_ext,
+    module_from_spec,
+    random_module,
+)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
 C6 = cyclic_group(6)
+S3 = symmetric_group(3)
+D4 = dihedral_group(4)
+S4 = symmetric_group(4)
 
 
 def sign(G):
@@ -195,6 +210,63 @@ def test_cores_after_res_is_index_multiple():
             E = extension_from_cocycle(G, M, N, coords)
             back = class_of(cores_ext(res_ext(E, H), H, M, N), ext)
             assert back == ext.reduce_coords([n * x for x in coords])
+
+
+# S3 at index 3, D4 at index 4 over a reflection (not normal), and S4 at
+# index 4 (a point stabiliser), 6 and 12
+TRANSFER_CASES = [
+    (S3, (0, 1)),
+    (D4, (0, 4)),
+    (S4, (0, 1, 2, 3, 4, 5)),
+    (S4, (0, 1, 6, 7)),
+    (S4, (0, 1)),
+]
+
+
+def test_cores_ext_equals_the_induction_route_block_for_block():
+    rng = random.Random(67)
+    for G, elements in TRANSFER_CASES:
+        H = Subgroup(G, elements)
+        for _ in range(4):
+            M = random_module(G, rng, max_rank=2)
+            N = random_module(G, rng, max_rank=2)
+            MH, NH = restrict_module(M, H), restrict_module(N, H)
+            ext = ext1(H.group, MH, NH)
+            coords = [rng.randrange(d) if d else rng.randint(-2, 2) for d in ext.invariants]
+            E = extension_from_cocycle(H.group, MH, NH, coords)
+            # the same class through another section, so that even a split
+            # extension has blocks that are not zero: phi(h) + N(h) F - F M(h)
+            hom = hom_module(MH, NH)
+            F = hom.matrix_of([rng.randint(-2, 2) for _ in range(hom.rank)])
+            E = ExtensionClass(H.group, NH, MH, [E.phi[h] + NH.act(h) @ F - F @ MH.act(h)
+                                                 for h in H.group.elements()])
+            assert cores_ext(E, H, M, N).phi == cores_ext_by_induction(E, H, M, N).phi
+
+
+# (group, H, K, spec of M, spec of N), each with Ext^1_H and Ext^1_K not zero
+MACKEY_EXT_CASES = [
+    (S3, (0, 1), (0, 2), ("trivial", (), 0), ("cosets", (0, 1), 2)),
+    (S3, (0, 3, 4), (0, 3, 4), ("sign", (0, 3, 4), 0), ("trivial", (), 6)),
+    (D4, (0, 4), (0, 6), ("sign", (0, 2, 4, 6), 4), ("cosets", (0, 4), 4)),
+    (D4, (0, 2, 4, 6), (0, 4), ("trivial", (), 0), ("cosets", (0, 4), 2)),
+    (S4, (0, 1, 2, 3, 4, 5), (0, 2, 6, 8, 12, 14), ("trivial", (), 0),
+     ("cosets", (0, 1, 6, 7), 2)),
+    (S4, (0, 1, 2, 3, 4, 5), (0, 1, 6, 7), ("trivial", (), 0), ("cosets", (0, 1, 6, 7), 2)),
+]
+
+
+def test_res_after_cor_on_ext1_is_the_double_coset_sum():
+    for G, h_elements, k_elements, m_spec, n_spec in MACKEY_EXT_CASES:
+        H, K = Subgroup(G, h_elements), Subgroup(G, k_elements)
+        M, N = module_from_spec(G, *m_spec), module_from_spec(G, *n_spec)
+        MH, NH = restrict_module(M, H), restrict_module(N, H)
+        source = ext1(H.group, MH, NH)
+        target = ext1(K.group, restrict_module(M, K), restrict_module(N, K))
+        assert source.invariants and target.invariants
+        for unit in IntMatrix.identity(len(source.invariants)).rows:
+            E = extension_from_cocycle(H.group, MH, NH, unit)
+            composite = class_of(res_ext(cores_ext(E, H, M, N), K), target)
+            assert composite == mackey_res_cor_ext(E, H, K, M, N)
 
 
 # -- the commuting-square checker -------------------------------------------------

@@ -12,7 +12,9 @@ benchmark document does: analyze jobs in global mode, on six-root
 surfaces, on refused surfaces or on surfaces repeated across jobs, the
 largest `h1` jobs, the regular module of a group of order 128 with and
 without a subgroup, an `ext-check` whose hom module is
-Hom(Z[D6], Z[D6]), of rank 144, and p-adic towers past the benchmark's
+Hom(Z[D6], Z[D6]), of rank 144, an `ext-check` that corestricts from
+the non-normal point stabiliser of S4, of index 4, with classes of order
+3 and 6, and p-adic towers past the benchmark's
 degree 8: an Eisenstein tower of degree 256 over Q_3, two unramified steps
 over Q_1000003, and analyze jobs over a base of p = 2^61 - 1.  They are
 hashed the same way, one sha256 per document, against
@@ -52,6 +54,7 @@ PINNED = (
     "regular_h1_order_128",
     "regular_h1_order_128_subgroup",
     "ext_check_regular_d6",
+    "ext_check_s4_point_stabiliser",
     "eisenstein_tower_degree_256",
     "two_unramified_steps_1000003",
     "analyze_large_prime_base",

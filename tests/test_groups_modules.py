@@ -30,8 +30,6 @@ from chatelet.modules import (
     direct_sum,
     equivariant_hom_basis,
     hom_module,
-    ind_counit,
-    ind_unit,
     induce_module,
     invariant_subquotient,
     permutation_module,
@@ -43,6 +41,8 @@ from chatelet.modules import (
 from helpers import (
     coset_count_hlt,
     hom_action_by_conjugation,
+    ind_counit,
+    ind_unit,
     is_cocycle_all_pairs,
     module_axioms_all_pairs,
     module_library,
