@@ -19,7 +19,11 @@ element) for its generators and converts arbitrary cocycles back to
 coordinates.  The restriction, corestriction and induced maps are built
 from that alone: `_cohomology_map` picks h0 or h1 for the degree, sends each
 generator cocycle of the source through the map's transform for that
-degree and reads the image's coordinates in the target.
+degree and reads the image's coordinates in the target.  A map's zero,
+injective and surjective flags are exact and build no subquotient: one
+solve decides injectivity and one echelon surjectivity.  The kernel,
+image and cokernel invariants, which do build one, stay as the tests'
+oracle for them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .intmat import (
     IntMatrix,
     LatticeSubquotient,
     Vector,
+    _spans,
     reduce_mod,
     solution_lattice,
 )
@@ -291,31 +296,52 @@ class CohMap:
 
     # -- structural predicates, all exact ------------------------------------
 
+    def _kernel_lattice(self) -> list[Vector]:
+        """A basis of the x with F x in the target's relations; the kernel is
+        this lattice modulo the source's relations."""
+        rels = _diagonal_relations(self.target.invariants)
+        return solution_lattice(len(self.source.invariants), [self.matrix], rels)
+
+    def _image_lattice(self) -> list[Vector]:
+        """The columns of F and the target's relations."""
+        return self.matrix.columns() + _diagonal_relations(self.target.invariants)
+
     def kernel_invariants(self) -> tuple[int, ...]:
         s = len(self.source.invariants)
-        rels = _diagonal_relations(self.target.invariants)
-        num = solution_lattice(s, [self.matrix], rels)
-        return LatticeSubquotient(s, num, _diagonal_relations(self.source.invariants)).invariants
+        return LatticeSubquotient(s, self._kernel_lattice(),
+                                  _diagonal_relations(self.source.invariants)).invariants
 
     def image_invariants(self) -> tuple[int, ...]:
         t = len(self.target.invariants)
-        rels = _diagonal_relations(self.target.invariants)
-        return LatticeSubquotient(t, self.matrix.columns() + rels, rels).invariants
+        return LatticeSubquotient(t, self._image_lattice(),
+                                  _diagonal_relations(self.target.invariants)).invariants
 
     def cokernel_invariants(self) -> tuple[int, ...]:
         t = len(self.target.invariants)
-        den = self.matrix.columns() + _diagonal_relations(self.target.invariants)
-        return LatticeSubquotient(t, IntMatrix.identity(t).rows, den).invariants
+        return LatticeSubquotient(t, IntMatrix.identity(t).rows, self._image_lattice()).invariants
 
     def is_zero(self) -> bool:
         return all(not any(self._reduce(self.matrix.col(j)))
                    for j in range(self.matrix.ncols))
 
     def is_injective(self) -> bool:
-        return not self.kernel_invariants()
+        """Whether the kernel is trivial, decided without a subquotient.
+
+        The kernel is `_kernel_lattice` modulo the source's relations, so it
+        is trivial exactly when every basis vector x of that lattice lies in
+        them: a_i divides x_i for each source invariant a_i, and x_i = 0
+        where a_i = 0.  That is the one solve `kernel_invariants` makes,
+        with no Smith form.
+        """
+        return all(x % a == 0 if a else not x
+                   for v in self._kernel_lattice()
+                   for x, a in zip(v, self.source.invariants))
 
     def is_surjective(self) -> bool:
-        return not self.cokernel_invariants()
+        """Whether the cokernel is trivial, decided without a subquotient:
+        the columns of F and the target's relations span all of Z^t, which
+        one echelon with no transform and no Smith form decides (`_spans`)."""
+        return _spans(self._image_lattice(), len(self.target.invariants))
 
     def is_identity(self) -> bool:
         if self.source.invariants != self.target.invariants:

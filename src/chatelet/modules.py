@@ -28,12 +28,13 @@ from .intmat import (
     solution_lattice,
 )
 
-# entries kept by each lru_cache of the library: hom_module, h0 and h1, the
-# surfaces descent verdicts (one key per extension degree), the padic fields,
-# class vectors and restriction images, and the CLI's element expressions
-# (`_evaluate`), specs (`_resolve`), parsed argument lists and dict layouts
-# of its JSON output (`_layout`).  A benchmark pass asks them for at most 45,
-# 86, 140, 3, 67, 83, 63, 172, 228, 1 and 6 distinct keys, so none is evicted
+# entries kept by each lru_cache of the library: hom_module, restrict_module
+# (one key per module and subgroup), h0 and h1, the surfaces descent verdicts
+# (one key per extension degree), the padic fields, class vectors and
+# restriction images, and the CLI's element expressions (`_evaluate`), specs
+# (`_resolve`), parsed argument lists and dict layouts of its JSON output
+# (`_layout`).  A benchmark pass asks them for at most 45, 107, 86, 140, 3,
+# 67, 83, 63, 172, 228, 1 and 6 distinct keys, so none is evicted
 CACHE_SIZE = 256
 
 
@@ -348,8 +349,15 @@ def direct_sum(M: GModule, N: GModule) -> GModule:
                    name=f"{M.name}+{N.name}", check=False)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def restrict_module(M: GModule, H: Subgroup) -> GModule:
-    """The same abelian group viewed as a module over the subgroup."""
+    """The same abelian group viewed as a module over the subgroup.
+
+    Cached, so the restriction and corestriction maps, the extension
+    transfers and the `h1` caches behind them share one module per (M, H)
+    and hash it once.  Modules compare without their names, so a module
+    equal to an earlier M under another name gets Res of the earlier name,
+    as `h1` hands out the group computed for the earlier module."""
     if H.parent != M.group:
         raise ValueError("subgroup belongs to a different group")
     mats = [M.act(H.embed(i)) for i in H.group.elements()]

@@ -549,7 +549,7 @@ def test_a_benchmark_pass_evicts_nothing(workload, monkeypatch, capsys):
     assert set(caches) == {
         "chatelet.cli._evaluate", "chatelet.cli._layout", "chatelet.cli._parse_args",
         "chatelet.cli._resolve", "chatelet.cohomology.h0", "chatelet.cohomology.h1",
-        "chatelet.modules.hom_module",
+        "chatelet.modules.hom_module", "chatelet.modules.restrict_module",
         "chatelet.padic._class_vector", "chatelet.padic._restriction_images",
         "chatelet.padic.LocalField.make", "chatelet.surfaces._descent_verdicts"}
     for cache in caches.values():

@@ -1,9 +1,13 @@
 """Tests for H^0, H^1, and the maps between them."""
 
 import random
+from math import gcd
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chatelet import intmat
 
@@ -28,7 +32,7 @@ from chatelet.groups import (
     symmetric_group,
     trivial_subgroup,
 )
-from chatelet.intmat import IntMatrix
+from chatelet.intmat import IntMatrix, LatticeSubquotient
 from chatelet.modules import (
     CACHE_SIZE,
     GModule,
@@ -261,18 +265,32 @@ def test_relator_blocks_cut_out_the_closing_edge_cocycles():
 
 
 def test_cohomology_caches_are_bounded():
-    caches = (h0, h1, hom_module)
+    caches = (h0, h1, hom_module, restrict_module)
     bound = max(cache.cache_info().maxsize for cache in caches)
     target = trivial_module(C2)
+    H = trivial_subgroup(C2)
     for k in range(2, bound + 12):
         M = trivial_module(C2, relations=[(k,)])
         h0(C2, M)
         h1(C2, M)
         hom_module(M, target)
+        restrict_module(M, H)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+def test_a_restricted_module_is_built_once_and_its_h1_looked_up_once():
+    G = dihedral_group(4)
+    H = Subgroup(G, [0, 2, 4, 6])
+    M = trivial_module(G, relations=[(2,)])
+    first = restrict_module(M, H)
+    assert restrict_module(M, H) is first
+    h1(H.group, first)
+    hits = h1.cache_info().hits
+    assert h1(H.group, restrict_module(M, H)) is h1(H.group, first)
+    assert h1.cache_info().hits == hits + 2
 
 
 def test_padic_caches_are_bounded():
@@ -424,6 +442,61 @@ def test_res_after_cor_on_h1_is_the_double_coset_sum():
             assert composite.apply(unit) == oracle
 
 
+# (group, subgroup elements, module, degrees): the subgroups of the cases
+# above, and ones whose maps have free parts, Z -> Z^12 among them
+SUBGROUP_MAP_CASES = [
+    (G, elements, module_from_spec(G, *spec), (0, 1))
+    for G, h_elements, k_elements, spec in MACKEY_CASES
+    for elements in (h_elements, k_elements)
+] + [
+    (cyclic_group(6), (0, 3), sign_over(6), (0, 1)),
+    (cyclic_group(6), (0, 2, 4), sign_over(6), (0, 1)),
+    (cyclic_group(6), range(6), sign_over(6), (0, 1)),
+    (cyclic_group(4), (0,), index_two_sign_module(cyclic_group(4),
+                                                  Subgroup(cyclic_group(4), [0, 2])), (0, 1)),
+    (cyclic_group(4), (0, 2), trivial_module(cyclic_group(4)), (0, 1)),
+    (cyclic_group(4), (0, 2), trivial_module(cyclic_group(4), relations=[(4,)]), (0, 1)),
+    (D4, (0, 2), trivial_module(D4), (0, 1)),
+    (D4, (0, 1, 2, 3), trivial_module(D4, relations=[(2,)]), (0, 1)),
+    (cyclic_group(6), (0, 2, 4), trivial_module(cyclic_group(6), rank=2), (0, 1)),
+    (S4, (0, 1), regular_module(S4), (0,)),
+]
+
+
+def test_subgroup_map_flags_agree_with_their_subquotients():
+    """The flags read off one solve or one echelon say what the kernel and
+    cokernel subquotients say, on every restriction and corestriction."""
+    for G, elements, M, degrees in SUBGROUP_MAP_CASES:
+        H = Subgroup(G, elements)
+        for degree in degrees:
+            for f in (restriction_map(H, M, degree), corestriction_map(H, M, degree)):
+                label = (G.name, tuple(elements), f.kind, degree)
+                assert f.is_injective() == (f.kernel_invariants() == ()), label
+                assert f.is_surjective() == (f.cokernel_invariants() == ()), label
+
+
+def test_subgroup_map_flags_build_no_subquotient_and_take_no_smith_form():
+    """Once the maps of an h1 job with a subgroup are built, its zero,
+    injective and surjective flags build no LatticeSubquotient and take no
+    Smith form."""
+    maps = []
+    for G, elements, M, degree in [(D4, (0, 2), trivial_module(D4), 0),
+                                   (S4, (0, 1), regular_module(S4), 0),
+                                   (cyclic_group(4), (0, 2),
+                                    trivial_module(cyclic_group(4), relations=[(4,)]), 1),
+                                   (D6, (0, 2, 4), module_from_spec(D6, "trivial", (), 6), 1)]:
+        H = Subgroup(G, elements)
+        maps += [restriction_map(H, M, degree), corestriction_map(H, M, degree)]
+    with patch.object(LatticeSubquotient, "__init__", autospec=True,
+                      side_effect=LatticeSubquotient.__init__) as built, \
+            patch.object(intmat, "smith_normal_form", wraps=intmat.smith_normal_form) as snf:
+        flags = [(f.is_zero(), f.is_injective(), f.is_surjective()) for f in maps]
+    assert built.call_count == 0
+    assert snf.call_count == 0
+    assert flags == [(f.is_zero(), f.kernel_invariants() == (), f.cokernel_invariants() == ())
+                     for f in maps]
+
+
 def test_shapiro_invariants():
     # H^1(G, induced module) matches H^1(H, original module)
     G = cyclic_group(6)
@@ -507,6 +580,46 @@ def test_cohmap_predicates():
         CohMap(A, B, IntMatrix([[1]]), kind="bad")  # 2*1 != 0 mod 4
 
 
+def _invariants_holder(invariants):
+    return SimpleNamespace(invariants=tuple(invariants))
+
+
+INVARIANT = st.sampled_from([0, 2, 3, 4, 6])
+
+
+@st.composite
+def coh_maps(draw):
+    """A well-defined map between finite and free abelian groups of rank at
+    most 3: entry (j, i) is a multiple of the least x with a_i x = 0 mod b_j,
+    and 0 when that needs b_j = 0 with a_i finite."""
+    a = draw(st.lists(INVARIANT, max_size=3))
+    b = draw(st.lists(INVARIANT, max_size=3))
+
+    def step(ai, bj):
+        if bj == 0:
+            return 0 if ai else 1
+        return bj // gcd(bj, ai)
+
+    rows = [[step(ai, bj) * draw(st.integers(-3, 3)) for ai in a] for bj in b]
+    return CohMap(_invariants_holder(a), _invariants_holder(b),
+                  IntMatrix(rows, ncols=len(a)), kind="test")
+
+
+@settings(max_examples=300, deadline=None)
+@given(coh_maps())
+@example(CohMap(_invariants_holder(()), _invariants_holder((0, 2)),
+                IntMatrix([[], []], ncols=0), kind="rank 0 source"))
+@example(CohMap(_invariants_holder((0, 4)), _invariants_holder(()),
+                IntMatrix([], ncols=2), kind="rank 0 target"))
+@example(CohMap(_invariants_holder((0,)), _invariants_holder((0,)),
+                IntMatrix([[2]]), kind="free, cokernel Z/2"))
+@example(CohMap(_invariants_holder((4, 0)), _invariants_holder((2, 0)),
+                IntMatrix([[1, 0], [0, 0]]), kind="kernel Z/2 x Z, cokernel Z"))
+def test_flags_agree_with_the_kernel_and_cokernel(f):
+    assert f.is_injective() == (f.kernel_invariants() == ())
+    assert f.is_surjective() == (f.cokernel_invariants() == ())
+
+
 def dual_group_holder(invariants):
     from chatelet.modules import FpAbGroup
 
@@ -561,7 +674,7 @@ def test_dual_map_randomized():
             row = []
             for i, ai in enumerate(a):
                 # a valid entry must satisfy ai * x = 0 mod bj
-                step = bj // __import__("math").gcd(bj, ai)
+                step = bj // gcd(bj, ai)
                 row.append(step * rng.randint(0, 3))
             rows.append(row)
         f = CohMap(A, B, IntMatrix(rows, ncols=len(a)), kind="test")

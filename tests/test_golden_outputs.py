@@ -14,18 +14,22 @@ largest `h1` jobs, the regular module of a group of order 128 with and
 without a subgroup, an `ext-check` whose hom module is
 Hom(Z[D6], Z[D6]), of rank 144, an `ext-check` that corestricts from
 the non-normal point stabiliser of S4, of index 4, with classes of order
-3 and 6, and p-adic towers past the benchmark's
+3 and 6, `h1` jobs whose restriction and corestriction maps have free
+parts (Z -> Z^12 over Z[S4] among them, injective but not surjective), and
+p-adic towers past the benchmark's
 degree 8: an Eisenstein tower of degree 256 over Q_3, two unramified steps
 over Q_1000003, and analyze jobs over a base of p = 2^61 - 1.  They are
 hashed the same way, one sha256 per document, against
 `tests/golden_pinned_digests.json`.
 
-After a change that alters output on purpose, rewrite the digests with
+To pin a new document, add it and write its digest with
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
 
-(which rewrites both digest files) and say in the change which documents
-moved.
+which computes digests only for the documents that have none in either
+file and leaves every existing entry as it is.  After a change that alters
+output on purpose, delete the moved documents' entries, record again and
+say in the change which documents moved.
 """
 
 import hashlib
@@ -55,6 +59,7 @@ PINNED = (
     "regular_h1_order_128_subgroup",
     "ext_check_regular_d6",
     "ext_check_s4_point_stabiliser",
+    "h1_subgroup_free_parts",
     "eisenstein_tower_degree_256",
     "two_unramified_steps_1000003",
     "analyze_large_prime_base",
@@ -87,25 +92,33 @@ def _digest(text: str) -> str:
     return h.hexdigest()
 
 
-def document_digests() -> dict[str, dict[str, str]]:
-    """{workload: {document id: sha256 of its four runs}} over every document."""
-    digests = {}
+def _document_texts() -> dict[str, dict[str, str]]:
+    """{workload: {document id: document text}} over every benchmark document."""
+    texts = {}
     for path in sorted(DOCS.glob("*.jsonl")):
         table = {}
         with path.open(encoding="utf-8") as fh:
             for line in fh:
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                table[str(entry["id"])] = _digest(json.dumps(entry["doc"]))
-        digests[path.stem] = table
-    return digests
+                if line.strip():
+                    entry = json.loads(line)
+                    table[str(entry["id"])] = json.dumps(entry["doc"])
+        texts[path.stem] = table
+    return texts
+
+
+def _pinned_text(name: str) -> str:
+    return (PINNED_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+def document_digests() -> dict[str, dict[str, str]]:
+    """{workload: {document id: sha256 of its four runs}} over every document."""
+    return {workload: {k: _digest(text) for k, text in table.items()}
+            for workload, table in _document_texts().items()}
 
 
 def pinned_digests() -> dict[str, str]:
     """{document name: sha256 of its four runs} over the pinned documents."""
-    return {name: _digest((PINNED_DIR / f"{name}.json").read_text(encoding="utf-8"))
-            for name in PINNED}
+    return {name: _digest(_pinned_text(name)) for name in PINNED}
 
 
 def test_every_document_gives_the_committed_bytes():
@@ -126,8 +139,45 @@ def test_every_pinned_analyze_document_gives_the_committed_bytes():
     assert not moved, f"documents {moved} changed output"
 
 
+def record_missing() -> list[str]:
+    """Write the digest of every document that has no entry yet, and return
+    their names; existing entries are neither recomputed nor rewritten."""
+    recorded = []
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    for workload, table in _document_texts().items():
+        entries = digests.setdefault(workload, {})
+        for k, text in table.items():
+            if k not in entries:
+                entries[k] = _digest(text)
+                recorded.append(f"{workload}/{k}")
+    pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))
+    for name in PINNED:
+        if name not in pinned:
+            pinned[name] = _digest(_pinned_text(name))
+            recorded.append(name)
+    for path, table in ((DIGESTS, digests), (PINNED_DIGESTS, pinned)):
+        path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return recorded
+
+
+def test_record_writes_only_the_missing_digests(tmp_path, monkeypatch):
+    text = DIGESTS.read_text(encoding="utf-8")
+    digests = tmp_path / "digests.json"
+    digests.write_text(text, encoding="utf-8")
+    pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))
+    committed = pinned.pop("h1_subgroup_free_parts")
+    pinned["analyze_large_prime_base"] = "stale"
+    pinned_path = tmp_path / "pinned.json"
+    pinned_path.write_text(json.dumps(pinned), encoding="utf-8")
+    monkeypatch.setitem(globals(), "DIGESTS", digests)
+    monkeypatch.setitem(globals(), "PINNED_DIGESTS", pinned_path)
+    assert record_missing() == ["h1_subgroup_free_parts"]
+    assert digests.read_text(encoding="utf-8") == text
+    assert json.loads(pinned_path.read_text(encoding="utf-8")) == {
+        **pinned, "h1_subgroup_free_parts": committed}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_outputs.py --record")
-    for path, digests in ((DIGESTS, document_digests()), (PINNED_DIGESTS, pinned_digests())):
-        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print("recorded:", ", ".join(record_missing()) or "nothing")
