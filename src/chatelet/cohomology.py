@@ -9,10 +9,9 @@ modulo the relation lattice.  The presentation comes from
 `FiniteGroup.relators`, verified by a coset enumeration, so H^1 costs one
 block per relator: 28 for (Z/2)^7, where the edges that close a cycle in a
 breadth-first walk of the Cayley graph would give |G|(|gens| - 1) + 1 = 769.
-The cocycle lattice is solved block by block with integer echelon forms
-(`solution_lattice`), which skips a block that every current cocycle
-already satisfies.  The quotient by coboundaries is a lattice subquotient,
-whose invariants come from one Smith form.
+The cocycle lattice is solved with every block in one integer echelon form
+(`solution_lattice`).  The quotient by coboundaries is a lattice
+subquotient, whose invariants come from one Smith form.
 
 A CohomologyGroup hands out honest cocycles (one module element per group
 element) for its generators and converts arbitrary cocycles back to

@@ -376,14 +376,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity], check=False)
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order), check=False)
-
-
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, found by closing generator sets one element at a time."""
     found = {G.closure([])}

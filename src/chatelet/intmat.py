@@ -5,10 +5,10 @@ precision anywhere.  Lattices rest on one routine, the reduced row echelon
 form of `_echelon` (Kannan and Bachem 1979).  A lattice given by generators
 is kept as its echelon basis: coordinates and membership are read off it
 pivot by pivot (`_coordinates`), and `solution_lattice` finds the x with
-C x in a relation lattice from the rows of one echelon per map whose first
-part vanishes, skipping a later map that its basis already satisfies.  The
-Smith form U * A * V = S, with U and V unimodular and S diagonal with each
-entry dividing the next, is built from alternating echelon sweeps.  It is
+C x in a relation lattice for every map C from one echelon of all the maps
+side by side, as the rows whose matrix part vanishes.  The Smith form
+U * A * V = S, with U and V unimodular and S diagonal with each entry
+dividing the next, is built from alternating echelon sweeps.  It is
 computed where invariants are read (`cokernel_structure`, and the cyclic
 decomposition of a subquotient whose quotient is not trivial) and by the
 public `kernel_basis` and `solve`.  A subquotient reads coordinates through
@@ -532,49 +532,31 @@ def solution_lattice(dim: int, maps: Sequence[IntMatrix],
                      relations: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis of the lattice {x in Z^dim : C x in lattice(relations) for every C in maps}.
 
-    The maps are intersected one at a time, starting from the standard
-    basis of Z^dim.  For a map C and the current basis x_1..x_k, one
-    product C X, with the x_j as the columns of X, gives every image C x_j;
-    for the first map X is the identity, and the images are the columns of
-    C, taken with no product.
-
-    From the second map on, a map whose images all lie in the relation
-    lattice (are all zero, when there are no relations) keeps the basis as
-    it is.  Membership is read off one echelon of the relations
-    (`_coordinates`), built the first time it is needed.  The first map is
-    always solved: the basis is then all of Z^dim, which a map rarely keeps.
-
-    Otherwise one echelon (`_echelon`) of the rows [r | 0], one per
-    relation r, and [C x_j | x_j] keeps the rows whose first part vanished:
-    their tails are combinations x of the x_j with C x in the relation
+    Every map is solved in one echelon (`_echelon`).  Its matrix part is
+    the maps' row blocks side by side, m_1 + ... + m_K columns, and its rows
+    are each relation placed in each map's block, then [C_1 e_j, ..., C_K e_j
+    | e_j] for every standard basis vector e_j of Z^dim.  The tails of the
+    rows whose matrix part vanished are the x with every C x in the relation
     lattice, and every such x is a combination of them.  The relation rows
     go first, so one that depends on the others vanishes whole and is
-    dropped; the other tails come from independent rows and form the next
-    basis.
+    dropped; the other tails come from independent rows and form the basis.
+    A map with no rows imposes nothing.
     """
-    basis = list(IntMatrix.identity(dim).rows)
-    rel_basis = None
-    for i, C in enumerate(maps):
-        if not basis:
-            break
-        m = C.nrows
-        if i:
-            CX = C @ IntMatrix._wrap(zip(*basis), len(basis))
-        elif C.ncols == dim:
-            CX = C  # the basis is still the identity
-        else:
+    for C in maps:
+        if C.ncols != dim:
             raise ValueError(f"shape mismatch {C.shape} @ {(dim, dim)}")
-        # the columns of C X; a map with no rows sends every x to ()
-        images = list(zip(*CX.rows)) or [()] * len(basis)
-        if i:
-            if rel_basis is None:
-                rel_basis = _lattice_basis(relations, m)
-            if all(_coordinates(rel_basis, y, m) is not None for y in images):
-                continue
-        rows = [list(r) for r in relations] + [[*y, *x] for y, x in zip(images, basis)]
-        _, zero = _echelon(rows, m)
-        basis = [tuple(R[m:]) for R in zero if any(R[m:])]
-    return basis
+    n = sum(C.nrows for C in maps)
+    rows = []
+    lo = 0
+    for C in maps:
+        hi = lo + C.nrows
+        rows += [[0] * lo + list(r) + [0] * (n - hi) for r in relations]
+        lo = hi
+    # the columns of the stacked maps, each with its e_j; a tail ends at its one
+    images = zip(*(row for C in maps for row in C.rows)) if n else [()] * dim
+    rows += [[*y] + [0] * j + [1] for j, y in enumerate(images)]
+    _, zero = _echelon(rows, n)
+    return [tuple(t) for t in _transforms(zero, n, dim) if any(t)]
 
 
 def reduce_mod(coords: Sequence[int], invariants: Sequence[int]) -> Vector:

@@ -150,8 +150,12 @@ class GModule:
 
         With the identity acting trivially and every action preserving the
         relation lattice, the law for each generator s gives it for every
-        product of generators by induction on word length.  Relation lengths
-        are checked when the module is built."""
+        product of generators by induction on word length.  The action
+        matrices are stacked once, so each generator s costs one product of
+        the stack with act(s); its block of rows for g is act(g) act(s), which
+        is compared with act(g s) entry by entry, and modulo the relations
+        only when the two differ.  Relation lengths are checked when the
+        module is built."""
         for g in self.group.elements():
             if self.action[g].shape != (self.rank, self.rank):
                 raise ValueError("action matrix has wrong shape")
@@ -162,11 +166,13 @@ class GModule:
             for r in self.relations:
                 if not self.in_relation_lattice(self.action[g].apply(r)):
                     raise ValueError("action does not preserve the relation lattice")
+        n = self.rank
+        stack = IntMatrix._wrap([row for A in self.action for row in A.rows], n)
         for s in self.group.generating_set():
-            a_s = self.action[s]
+            rows = (stack @ self.action[s]).rows
             for g in self.group.elements():
-                if not self.matrices_equal(self.action[g] @ a_s,
-                                           self.action[self.group.mul(g, s)]):
+                block, want = rows[g * n:(g + 1) * n], self.action[self.group.mul(g, s)]
+                if block != want.rows and not self.matrices_equal(IntMatrix._wrap(block, n), want):
                     raise ValueError("action matrices are not a homomorphism")
         return self
 

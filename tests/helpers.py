@@ -4,7 +4,8 @@ Random modules are drawn from a library of constructions that are valid by
 construction (trivial modules, coset permutation modules, index-two sign
 twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices; `module_from_spec` names one of the first three for
-a fixed list of cases.
+a fixed list of cases.  `trivial_subgroup` and `full_subgroup` build the
+two extreme subgroups of a group.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
 the general cocycle machinery against, `h1_reference` is the closing-edge
@@ -15,9 +16,10 @@ solves them with whole-matrix arithmetic and Smith kernels,
 `coset_count_hlt` is an HLT coset enumeration that checks the library's
 presentations close, `word_value` evaluates a relator word in its group,
 `solution_lattice_by_smith` is the
-Smith-kernel lattice solve that the library's echelon version is compared
-against, `first_map_by_identity_product` is the first step of that echelon
-solve through the product C I that the library skips,
+Smith-kernel lattice solve, one map at a time, that the library's single
+echelon over every map is compared against, `first_map_by_identity_product`
+is that echelon for one map through the product C I, where the library
+reads the images off the columns of C with no product,
 `subquotient_by_full_transform` reads a lattice subquotient's coordinates
 and generators through its whole Smith transform, where the library keeps
 only the rows it reads, `hom_action_by_conjugation` builds the action of a hom module by
@@ -91,6 +93,14 @@ from chatelet.padic import (
     _reduce,
     _square_class_pool,
 )
+
+
+def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+    return Subgroup(G, [G.identity], check=False)
+
+
+def full_subgroup(G: FiniteGroup) -> Subgroup:
+    return Subgroup(G, range(G.order), check=False)
 
 
 def coset_permutation_module(G: FiniteGroup, H: Subgroup, name: str = "cosets",

@@ -30,7 +30,6 @@ from chatelet.groups import (
     direct_product,
     quaternion_group,
     symmetric_group,
-    trivial_subgroup,
 )
 from chatelet.intmat import IntMatrix, LatticeSubquotient
 from chatelet.modules import (
@@ -55,6 +54,7 @@ from helpers import (
     module_library,
     random_cocycle,
     random_module,
+    trivial_subgroup,
 )
 
 C2 = cyclic_group(2)

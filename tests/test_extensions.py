@@ -22,7 +22,6 @@ from chatelet.groups import (
     cyclic_group,
     dihedral_group,
     symmetric_group,
-    trivial_subgroup,
 )
 from chatelet.intmat import IntMatrix
 from chatelet.modules import (
@@ -38,6 +37,7 @@ from helpers import (
     mackey_res_cor_ext,
     module_from_spec,
     random_module,
+    trivial_subgroup,
 )
 
 C2 = cyclic_group(2)

@@ -15,10 +15,8 @@ from chatelet.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    full_subgroup,
     quaternion_group,
     symmetric_group,
-    trivial_subgroup,
 )
 from chatelet.intmat import IntMatrix, LatticeSubquotient
 from chatelet.modules import (
@@ -40,6 +38,7 @@ from chatelet.modules import (
 
 from helpers import (
     coset_count_hlt,
+    full_subgroup,
     hom_action_by_conjugation,
     ind_counit,
     ind_unit,
@@ -48,6 +47,7 @@ from helpers import (
     module_library,
     permutation_action_all_pairs,
     random_cocycle,
+    trivial_subgroup,
     word_value,
 )
 
@@ -597,6 +597,27 @@ def test_validate_agrees_with_all_pairs_oracle():
                              lambda: module_axioms_all_pairs(P), G, g0, outcomes)
         # rejections at generators and elsewhere, and perturbations that stay valid
         assert {(True, False), (False, False), (False, True)} <= outcomes, G.name
+
+
+def test_validate_makes_one_product_per_generator():
+    """The homomorphism law costs one product of the stacked action matrices
+    per generator, whether the blocks match act(g s) entry by entry or only
+    modulo the relations, and a defect at an element that is not a
+    generator is still found."""
+    G = dihedral_group(4)
+    twisted = GModule(C4, 1, [(5,)], [IntMatrix([[pow(2, k, 5)]]) for k in range(4)], check=False)
+    for M in (regular_module(G), twisted, sign_module(4)):
+        with patch.object(IntMatrix, "__matmul__", autospec=True,
+                          side_effect=IntMatrix.__matmul__) as product:
+            M.validate()
+        assert product.call_count == len(M.group.generating_set()), M
+    R = regular_module(C4)
+    g0 = next(g for g in C4.elements() if g != C4.identity and g not in C4.generating_set())
+    mats = list(R.action)
+    mats[g0] = mats[g0] + IntMatrix([[1 if (i, j) == (0, 1) else 0 for j in range(4)]
+                                      for i in range(4)])
+    with pytest.raises(ValueError, match="action matrices are not a homomorphism"):
+        GModule(C4, 4, (), mats)
 
 
 def test_is_cocycle_agrees_with_all_pairs_oracle():

@@ -524,7 +524,8 @@ def _lattice_problems(draw):
     of them zero, and relations of length m, possibly none.  Sometimes a map
     that every solution of the others already satisfies is appended: an
     integer combination of the earlier maps plus r l^T, r a relation and l
-    any row, so the lattice solve takes its skip with nonzero maps."""
+    any row, so the solve meets nonzero maps that cut the lattice no
+    further."""
     dim = draw(st.integers(0, 4))
     m = draw(st.integers(0, 3))
     rels = draw(_relations(m))
@@ -542,34 +543,46 @@ def _lattice_problems(draw):
     return dim, maps, rels
 
 
-def test_solution_lattice_skips_only_later_maps_that_hold():
-    """The first map is solved without a membership test; a later map whose
-    images all lie in the relation lattice costs membership tests and the
-    one relation echelon, and no echelon of its own."""
+def _same_lattice(dim, a, b):
+    """Whether two generating sets in Z^dim span the same lattice: each
+    vector of one is an integer combination of the other (`solve`)."""
+    A = IntMatrix.from_columns(a, nrows=dim)
+    B = IntMatrix.from_columns(b, nrows=dim)
+    return all(solve(A, v) is not None for v in b) and all(solve(B, v) is not None for v in a)
+
+
+def test_solution_lattice_solves_every_map_in_one_echelon():
+    """However many maps there are, one echelon of the stacked rows solves
+    them, with no product.  A map that every solution of the others
+    satisfies leaves the lattice as it is, and one that fails shrinks it."""
     C = IntMatrix([[1, 2, 0], [0, 3, 1]])
     rels = [(4, 0), (0, 6)]
     held = C.scale(-2) + IntMatrix([[4, -4, 8], [0, 0, 0]])
     fails = IntMatrix([[1, 0, 0], [0, 0, 0]])
-    with patch.object(intmat, "_echelon", wraps=intmat._echelon) as echelon, \
-            patch.object(intmat, "_coordinates", wraps=intmat._coordinates) as member:
-        alone = solution_lattice(3, [C], rels)
-        assert (echelon.call_count, member.call_count) == (1, 0)
-        echelon.reset_mock()
-        assert solution_lattice(3, [C, held], rels) == alone
-        assert (echelon.call_count, member.call_count) == (2, len(alone))
-        echelon.reset_mock()
-        assert solution_lattice(3, [C, fails], rels) != alone
-        assert echelon.call_count == 3
-        kernel = solution_lattice(3, [C], [])
-        echelon.reset_mock()
-        # without relations a map holds when it sends the basis to zero
-        assert solution_lattice(3, [C, C.scale(5), C.scale(-2)], []) == kernel
-        assert echelon.call_count == 2  # C, and the echelon of no relations
+
+    def solve_once(maps, relations=rels):
+        with patch.object(intmat, "_echelon", wraps=intmat._echelon) as echelon, \
+                patch.object(IntMatrix, "__matmul__", autospec=True,
+                             side_effect=IntMatrix.__matmul__) as product:
+            got = solution_lattice(3, maps, relations)
+        assert (echelon.call_count, product.call_count) == (1, 0), len(maps)
+        return got
+
+    alone = solve_once([C])
+    for maps in ([C, held], [C, held, held.scale(3)]):
+        assert _same_lattice(3, solve_once(maps), alone)
+    # without relations a map holds when it sends the lattice to zero
+    kernel = solve_once([C], [])
+    assert _same_lattice(3, solve_once([C, C.scale(5), C.scale(-2)], []), kernel)
+    shrunk = solve_once([C, fails])
+    assert all(solve(IntMatrix.from_columns(alone, nrows=3), v) is not None for v in shrunk)
+    assert not _same_lattice(3, shrunk, alone)
+    assert _same_lattice(3, solve_once([fails, C, held]), shrunk)
 
 
 def test_solution_lattice_takes_the_first_map_without_a_product():
-    """The basis starts as the identity, so the first map's images are the
-    columns of C: the same basis as through the product C I, and no product."""
+    """The images of the standard basis under one map are the columns of C:
+    the same basis as through the product C I, and no product."""
     rng = random.Random(137)
     cases = [(0, IntMatrix.zeros(0, 0), []), (0, IntMatrix.zeros(2, 0), [(2, 0)]),
              (3, IntMatrix.zeros(0, 3), []), (3, IntMatrix.zeros(2, 3), [(0, 4)])]
@@ -596,10 +609,7 @@ def test_solution_lattice_equals_the_smith_kernel_lattice(problem):
     dim, maps, rels = problem
     new = solution_lattice(dim, maps, rels)
     old = solution_lattice_by_smith(dim, maps, rels)
-    N = IntMatrix.from_columns(new, nrows=dim)
-    O = IntMatrix.from_columns(old, nrows=dim)
-    assert all(solve(O, v) is not None for v in new)
-    assert all(solve(N, v) is not None for v in old)
+    assert _same_lattice(dim, new, old)
 
 
 @settings(max_examples=200, deadline=None)
@@ -609,6 +619,25 @@ def test_solution_lattice_generators_are_independent(problem):
     new = solution_lattice(dim, maps, rels)
     assert all(len(v) == dim for v in new)
     assert smith_normal_form(IntMatrix.from_columns(new, nrows=dim)).rank == len(new)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solution_lattice_ignores_the_order_and_repeats_of_maps(data):
+    """The lattice is an intersection over the maps, so permuting them or
+    repeating some gives the same lattice, though maybe another basis."""
+    dim, maps, rels = data.draw(_lattice_problems(), label="problem")
+    want = solution_lattice(dim, maps, rels)
+    shuffled = data.draw(st.permutations(maps), label="permuted")
+    repeats = data.draw(st.lists(st.sampled_from(maps), max_size=3), label="repeats") if maps else []
+    spots = [data.draw(st.integers(0, len(shuffled) + i), label="spot") for i in range(len(repeats))]
+    repeated = list(shuffled)
+    for C, i in zip(repeats, spots):
+        repeated.insert(i, C)
+    for variant in (shuffled, repeated):
+        got = solution_lattice(dim, variant, rels)
+        assert len(got) == len(want)
+        assert _same_lattice(dim, got, want)
 
 
 @settings(max_examples=200, deadline=None)
