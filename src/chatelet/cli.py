@@ -28,7 +28,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import corestriction_map, h0, h1, restriction_map
@@ -679,31 +679,21 @@ def _prep_analyze(job, path, errors, trace):
             _err(errors, f"{path}.extension.assert_degenerate",
                  "an odd degree extension cannot absorb a nonsquare")
             return None
-
-        def execute():
-            report = analyze_global(surface, degree,
-                                    assert_degenerate=assert_degenerate,
-                                    completion=completion)
-            return _report_dict(report, trace)
-
-        return execute
-
-    # a bad base is reported alone: the extension is not read
-    if surface is None and errors[known].startswith(f"{path}.surface.base"):
-        return None
-    extension = _build(_check_field, job.get("extension"), f"{path}.extension", errors)
-    if surface is None or extension is None:
-        return None
-    if not _is_prefix(surface.base, extension):
-        _err(errors, f"{path}.extension",
-             "must be a tower extension of the surface base field")
-        return None
-
-    def execute():
-        report = analyze_local(surface, extension)
-        return _report_dict(report, trace)
-
-    return execute
+        analyze = partial(analyze_global, surface, degree,
+                          assert_degenerate=assert_degenerate, completion=completion)
+    else:
+        # a bad base is reported alone: the extension is not read
+        if surface is None and errors[known].startswith(f"{path}.surface.base"):
+            return None
+        extension = _build(_check_field, job.get("extension"), f"{path}.extension", errors)
+        if surface is None or extension is None:
+            return None
+        if not _is_prefix(surface.base, extension):
+            _err(errors, f"{path}.extension",
+                 "must be a tower extension of the surface base field")
+            return None
+        analyze = partial(analyze_local, surface, extension)
+    return lambda: _report_dict(analyze(), trace)
 
 
 def _rational(raw):
@@ -728,12 +718,7 @@ def _check_surface(spec, path, errors):
         base = _build(_check_field, base_spec, f"{path}.base", errors)
         if base is None:
             return None
-
-        def parse(raw):
-            return parse_element(raw, base)
-
-        def make(d, roots):
-            return ChateletSurface(base, d, roots)
+        parse, make = partial(parse_element, field=base), partial(ChateletSurface, base)
     d_raw = spec.get("d")
     roots_raw = _as_array(spec.get("roots"), f"{path}.roots", errors, min_len=4)
     if d_raw is None:
@@ -757,22 +742,12 @@ def _check_surface(spec, path, errors):
 
 
 def _report_dict(report, trace):
-    """The result of an analyze job: the report's fields, with its rule
-    trace, assumptions and conventions only under --trace."""
-    data = {
-        "type": "analyze",
-        "base": report.base,
-        "extension": report.extension,
-        "degree": report.degree,
-        "half_degree": report.half_degree,
-        "degenerate": report.degenerate,
-        "brauer_invariants": (None if report.brauer_invariants is None
-                              else list(report.brauer_invariants)),
-        "verdicts": dict(report.verdicts),
-    }
-    if trace:
-        for key in ("rule_trace", "assumptions", "conventions"):
-            data[key] = list(getattr(report, key))
+    """The result of an analyze job: the report's own dict with its type,
+    keeping the rule trace, assumptions and conventions only under --trace."""
+    data = report.as_dict()
+    data["type"] = "analyze"
+    if not trace:
+        del data["rule_trace"], data["assumptions"], data["conventions"]
     return data
 
 

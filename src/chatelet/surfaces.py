@@ -205,6 +205,9 @@ class AnalysisReport(Value):
         self.conventions = conventions
 
     def as_dict(self) -> dict:
+        """Every field as plain JSON data.  With "type": "analyze" added this
+        is the result of a CLI analyze job, which drops rule_trace,
+        assumptions and conventions unless run with --trace."""
         return {
             "base": self.base,
             "extension": self.extension,

@@ -5,7 +5,11 @@ construction (trivial modules, coset permutation modules, index-two sign
 twists, direct sums, hom modules), so seeded loops never have to reject and
 retry action matrices; `module_from_spec` names one of the first three for
 a fixed list of cases.  `trivial_subgroup` and `full_subgroup` build the
-two extreme subgroups of a group.
+two extreme subgroups of a group.  `equivariant_square_instance` and
+`torsion_annihilated_instance` draw the two sound families of
+`lemma52_check` instances of acceptance criterion 5, and `norm_of_map` is
+the norm N(h) of a subgroup map h, the map over the whole group along which
+pushing out gives the check's restrict / push / corestrict route.
 
 `h1_cyclic` is an independent H^1 for cyclic groups that the tests compare
 the general cocycle machinery against, `h1_reference` is the closing-edge
@@ -55,11 +59,11 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, islice, product
-from math import lcm
+from math import gcd, lcm
 
 from chatelet.cohomology import CohomologyGroup, _identity_cocycle_check
 from chatelet.extensions import ExtensionClass, class_of, cores_ext, ext1
-from chatelet.groups import FiniteGroup, Subgroup, all_subgroups
+from chatelet.groups import FiniteGroup, Subgroup, all_subgroups, cyclic_group, dihedral_group
 from chatelet.intmat import (
     IntMatrix,
     LatticeSubquotient,
@@ -79,6 +83,7 @@ from chatelet.modules import (
     GModule,
     GModuleMap,
     direct_sum,
+    equivariant_hom_basis,
     hom_module,
     induce_module,
     permutation_module,
@@ -176,6 +181,76 @@ def random_cocycle(coh, rng: random.Random):
     """A random honest cocycle (degree one) drawn through the coordinates."""
     coords = [rng.randrange(d) if d else rng.randint(-2, 2) for d in coh.invariants]
     return coh.cocycle_from_coords(coords), tuple(coords)
+
+
+# -- commuting-square instances and the norm of a subgroup map ---------------------
+
+
+def _random_combination(basis, rows, cols, rng):
+    matrix = IntMatrix.zeros(rows, cols)
+    for b in basis:
+        matrix = matrix + b.scale(rng.randint(-2, 2))
+    return matrix
+
+
+def equivariant_square_instance(rng: random.Random):
+    """A commuting-square instance (H, P, Q, R, h) whose comparison map is
+    equivariant over the whole group, restricted to the subgroup."""
+    G = rng.choice([cyclic_group(4), cyclic_group(6), cyclic_group(8),
+                    cyclic_group(9), dihedral_group(3)])
+    subs = [s for s in all_subgroups(G) if 1 < s.order < G.order]
+    H = rng.choice(subs)
+    P = random_module(G, rng, max_rank=2)
+    Q = random_module(G, rng, max_rank=2)
+    R = random_module(G, rng, max_rank=2)
+    basis = equivariant_hom_basis(Q, R)
+    matrix = _random_combination(basis, R.rank, Q.rank, rng)
+    h = GModuleMap(restrict_module(Q, H), restrict_module(R, H), matrix)
+    return H, P, Q, R, h
+
+
+def torsion_annihilated_instance(rng: random.Random):
+    """A commuting-square instance with R killed by the subgroup index and
+    the index coprime to the subgroup order; the comparison map is merely
+    subgroup-equivariant."""
+    G6 = cyclic_group(6)
+    D3 = dihedral_group(3)
+    case = rng.choice([
+        (G6, [0, 2, 4], 2),
+        (G6, [0, 3], 3),
+        (D3, None, 2),
+    ])
+    G, members, exponent = case
+    if members is None:
+        H = next(s for s in all_subgroups(G) if s.order == 3)
+    else:
+        H = Subgroup(G, members)
+    assert H.index == exponent and gcd(H.order, exponent) == 1
+    P = random_module(G, rng, max_rank=2)
+    Q = random_module(G, rng, max_rank=2)
+    rank = rng.choice([1, 2])
+    relations = [[exponent if i == j else 0 for j in range(rank)]
+                 for i in range(rank)]
+    R = trivial_module(G, rank=rank, relations=relations)
+    QH = restrict_module(Q, H)
+    RH = restrict_module(R, H)
+    basis = equivariant_hom_basis(QH, RH)
+    matrix = _random_combination(basis, R.rank, Q.rank, rng)
+    h = GModuleMap(QH, RH, matrix)
+    return H, P, Q, R, h
+
+
+def norm_of_map(H: Subgroup, Q: GModule, R: GModule, h: GModuleMap) -> GModuleMap:
+    """The norm N(h) = sum over the left coset representatives r_i of H of
+    R(r_i) . h . Q(r_i^{-1}) of a map h from Res Q to Res R over H: a map
+    Q -> R over the whole group, checked as one, and index * h when h already
+    is one.  Corestricting the pushout along h of a restricted extension is
+    the pushout along N(h) (Brown, ch. III §9)."""
+    G = H.parent
+    total = IntMatrix.zeros(R.rank, Q.rank)
+    for r in H.left_coset_reps():
+        total = total + R.act(r) @ h.matrix @ Q.act(G.inv(r))
+    return GModuleMap(Q, R, total)
 
 
 # -- all-pairs law checks ------------------------------------------------------------

@@ -36,9 +36,7 @@ from chatelet.groups import (
 from chatelet.intmat import IntMatrix, smith_normal_form
 from chatelet.modules import (
     GModule,
-    GModuleMap,
     chatelet_picard_module,
-    equivariant_hom_basis,
     restrict_module,
     trivial_module,
 )
@@ -56,7 +54,13 @@ from chatelet.surfaces import (
     corestriction_on_h1,
     restriction_on_h1,
 )
-from helpers import coset_permutation_module, h1_cyclic, random_module
+from helpers import (
+    coset_permutation_module,
+    equivariant_square_instance,
+    h1_cyclic,
+    random_module,
+    torsion_annihilated_instance,
+)
 
 
 # -- shared p-adic tower builders --------------------------------------------------
@@ -267,67 +271,13 @@ def test_criterion_4_coset_module_cohomology_vanishes():
     assert checked > 60
 
 
-def _random_combination(basis, rows, cols, rng):
-    matrix = IntMatrix.zeros(rows, cols)
-    for b in basis:
-        matrix = matrix + b.scale(rng.randint(-2, 2))
-    return matrix
-
-
-def _equivariant_square_instance(rng):
-    """A commuting-square instance whose comparison map is equivariant over
-    the whole group, restricted to the subgroup."""
-    G = rng.choice([cyclic_group(4), cyclic_group(6), cyclic_group(8),
-                    cyclic_group(9), dihedral_group(3)])
-    subs = [s for s in all_subgroups(G) if 1 < s.order < G.order]
-    H = rng.choice(subs)
-    P = random_module(G, rng, max_rank=2)
-    Q = random_module(G, rng, max_rank=2)
-    R = random_module(G, rng, max_rank=2)
-    basis = equivariant_hom_basis(Q, R)
-    matrix = _random_combination(basis, R.rank, Q.rank, rng)
-    h = GModuleMap(restrict_module(Q, H), restrict_module(R, H), matrix)
-    return H, P, Q, R, h
-
-
-def _torsion_annihilated_instance(rng):
-    """A commuting-square instance with R killed by the subgroup index and
-    the index coprime to the subgroup order; the comparison map is merely
-    subgroup-equivariant."""
-    G6 = cyclic_group(6)
-    D3 = dihedral_group(3)
-    case = rng.choice([
-        (G6, [0, 2, 4], 2),
-        (G6, [0, 3], 3),
-        (D3, None, 2),
-    ])
-    G, members, exponent = case
-    if members is None:
-        H = next(s for s in all_subgroups(G) if s.order == 3)
-    else:
-        H = Subgroup(G, members)
-    assert H.index == exponent and gcd(H.order, exponent) == 1
-    P = random_module(G, rng, max_rank=2)
-    Q = random_module(G, rng, max_rank=2)
-    rank = rng.choice([1, 2])
-    relations = [[exponent if i == j else 0 for j in range(rank)]
-                 for i in range(rank)]
-    R = trivial_module(G, rank=rank, relations=relations)
-    QH = restrict_module(Q, H)
-    RH = restrict_module(R, H)
-    basis = equivariant_hom_basis(QH, RH)
-    matrix = _random_combination(basis, R.rank, Q.rank, rng)
-    h = GModuleMap(QH, RH, matrix)
-    return H, P, Q, R, h
-
-
 def test_criterion_5_commuting_square_on_sound_instances():
     rng = random.Random(52)
     for i in range(100):
         if i % 2 == 0:
-            H, P, Q, R, h = _equivariant_square_instance(rng)
+            H, P, Q, R, h = equivariant_square_instance(rng)
         else:
-            H, P, Q, R, h = _torsion_annihilated_instance(rng)
+            H, P, Q, R, h = torsion_annihilated_instance(rng)
         result = lemma52_check(H, P, Q, R, h)
         assert result.norm_multiple_equivariant
         assert result.holds

@@ -39,6 +39,7 @@ def test_expression_arithmetic():
     assert parse_element("2 × 3", q5) == q5.integer(6)
     assert parse_element("5^-1 * 5", q5) == q5.one()
     assert parse_element(42, q5) == q5.integer(42)
+    assert parse_element("3 ", q5) == q5.integer(3)
 
 
 def test_expression_generators():
@@ -573,6 +574,21 @@ def test_a_benchmark_pass_evicts_nothing(workload, monkeypatch, capsys):
     ({"type": "h1", "group": {"kind": "cyclic", "n": 4}, "module": {"kind": "regular"},
       "subgroup": [0, 1]},
      "subgroup: subgroup not closed under inverse"),
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 2},
+      "module": {"kind": "explicit", "rank": 1, "action": [[[1]], [[1, 0]]]}},
+     "module.action[1]: matrix must be square"),
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 2},
+      "module": {"kind": "trivial", "rank": 2, "relations": [[2]]}},
+     "module.relations: relation length must equal rank"),
+    ({"type": "h1", "group": {"kind": "cyclic", "n": 2},
+      "module": {"kind": "explicit", "rank": 2, "action": [[[1]], [[1]]]}},
+     "module.action[0]: matrix size must equal rank"),
+    ({"type": "h1", "group": {"kind": "table", "table": 5}, "module": {"kind": "trivial"}},
+     "group.table: expected an array"),
+    ({"type": "ext-check", "group": {"kind": "cyclic", "n": 2}, "subgroup": [0],
+      "quotient_module": {"kind": "trivial"}, "sub_module": {"kind": "trivial"},
+      "push_target": {"kind": "trivial"}, "push_map": [[1, 0]]},
+     "push_map: expected a 1 x 1 matrix"),
 ])
 def test_a_repeated_bad_group_module_or_subgroup_is_reported_at_each_path(job, message):
     results, errors = run(doc(job, {"type": "snf", "matrix": [[1]]}, job))
@@ -751,6 +767,22 @@ def test_main_json_roundtrip_deterministic(tmp_path, capsys):
     payload = json.loads(first)
     assert payload["version"] == 1
     assert payload["results"][0]["diagonal"] == [2, 6]
+
+
+def test_the_readme_example_document_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = write_doc(tmp_path, json.loads(text))
+    types = ["snf", "h1", "square-class", "analyze"]
+    assert main([path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [r["type"] for r in json.loads(out)["results"]] == types
+    assert main([path, "--format", "text"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    heads = [line.split(":", 1)[0] for line in out.splitlines() if line.startswith("[")]
+    assert heads == [f"[{i}] {t}" for i, t in enumerate(types)]
 
 
 def test_main_text_format(tmp_path, capsys):

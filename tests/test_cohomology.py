@@ -637,6 +637,17 @@ def test_dual_group():
         dual_group(dual_group_holder((0,)))
 
 
+def test_the_dual_group_reads_coordinates_modulo_its_invariants():
+    D = dual_group(dual_group_holder((2, 4)))
+    diagonal = dual_group_holder((2, 4))
+    assert D == diagonal and hash(D) == hash(diagonal)
+    assert D != dual_group_holder((4, 2))
+    assert [D.coords(g) for g in D.generators()] == [(1, 0), (0, 1)]
+    for v in [(3, 7), (-1, -1), (0, 4), (5, -6)]:
+        assert D.coords(v) == (v[0] % 2, v[1] % 4)
+        assert D.coords(D.lift(D.coords(v))) == D.coords(v)
+
+
 def test_dual_map_known():
     A = dual_group_holder((2,))
     B = dual_group_holder((4,))

@@ -19,6 +19,7 @@ from chatelet.extensions import (
 )
 from chatelet.groups import (
     Subgroup,
+    all_subgroups,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -27,16 +28,21 @@ from chatelet.intmat import IntMatrix
 from chatelet.modules import (
     GModule,
     GModuleMap,
+    equivariant_hom_basis,
     hom_module,
     restrict_module,
     trivial_module,
 )
 from helpers import (
     cores_ext_by_induction,
+    coset_permutation_module,
+    equivariant_square_instance,
     index_two_sign_module,
     mackey_res_cor_ext,
     module_from_spec,
+    norm_of_map,
     random_module,
+    torsion_annihilated_instance,
     trivial_subgroup,
 )
 
@@ -80,6 +86,17 @@ def test_split_extension_is_zero():
     Z2 = trivial_module(C2, relations=[(2,)])
     E = ExtensionClass(C2, Z2, Z, [IntMatrix.zeros(1, 1)] * 2)
     assert class_of(E) == (0,)
+
+
+def test_the_hom_cocycle_defaults_to_the_hom_module_of_quot_and_sub():
+    rng = random.Random(23)
+    for G in (C2, C4, S3):
+        M = random_module(G, rng, max_rank=2)
+        N = random_module(G, rng, max_rank=2)
+        ext = ext1(G, M, N)
+        coords = tuple(rng.randrange(d) if d else 1 for d in ext.invariants)
+        E = extension_from_cocycle(G, M, N, coords)
+        assert E.hom_cocycle() == E.hom_cocycle(hom_module(M, N))
 
 
 def test_extension_roundtrip():
@@ -345,3 +362,59 @@ def test_scaled_map_detects_equivariance():
     lifted = GModuleMap(M, T, half.matrix, check=False)
     assert scaled_map(lifted, 1) is None  # the identity is not equivariant here
     assert scaled_map(lifted, 0) is not None  # the zero map always is
+
+
+def _transfer_route(E, H, P, R, h):
+    """The class of e restricted to H, pushed out along h and corestricted:
+    route B of lemma52_check."""
+    return class_of(cores_ext(pushout(res_ext(E, H), h), H, P, R))
+
+
+def _is_g_map(Q, R, matrix):
+    try:
+        GModuleMap(Q, R, matrix)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_transfer_route_is_the_pushout_along_the_norm_of_h():
+    # Q = R a Z/2 or Z/4 coset permutation module and h an H-map whose index
+    # multiple is not a G-map, so lemma52_check has no route A to compare
+    cases = {}
+    for G in (S3, D4):
+        P = trivial_module(G)
+        subs = [s for s in all_subgroups(G) if 1 < s.order < G.order]
+        for H in subs:
+            for K in subs:
+                for modulus in (2, 4):
+                    Q = coset_permutation_module(G, K, modulus=modulus)
+                    ext = ext1(G, P, Q)
+                    QH = restrict_module(Q, H)
+                    bad = [m for m in equivariant_hom_basis(QH, QH)
+                           if not _is_g_map(Q, Q, m.scale(H.index))]
+                    if not ext.invariants or not bad:
+                        continue
+                    h = GModuleMap(QH, QH, bad[0])
+                    norm = norm_of_map(H, Q, Q, h)
+                    for coords in IntMatrix.identity(len(ext.invariants)).rows:
+                        E = extension_from_cocycle(G, P, Q, coords)
+                        assert _transfer_route(E, H, P, Q, h) == class_of(pushout(E, norm))
+                    cases[G.name] = cases.get(G.name, 0) + 1
+    assert cases == {S3.name: 21, D4.name: 18}
+    # criterion 5's sound families: the norm of a restricted G-map is its
+    # index multiple, and over an R killed by the index both push out alike
+    rng = random.Random(52)
+    for i in range(40):
+        make = equivariant_square_instance if i % 2 == 0 else torsion_annihilated_instance
+        H, P, Q, R, h = make(rng)
+        norm = norm_of_map(H, Q, R, h)
+        multiple = h.matrix.scale(H.index)
+        if i % 2 == 0:
+            assert R.matrices_equal(norm.matrix, multiple)
+            continue
+        ext = ext1(H.parent, P, Q)
+        for coords in IntMatrix.identity(len(ext.invariants)).rows:
+            E = extension_from_cocycle(H.parent, P, Q, coords)
+            want = class_of(pushout(E, GModuleMap(Q, R, multiple)))
+            assert _transfer_route(E, H, P, R, h) == class_of(pushout(E, norm)) == want

@@ -561,6 +561,19 @@ def test_module_map_composition():
     assert double.apply((5,)) == (10,)
 
 
+def test_a_composite_over_two_subgroups_is_over_their_intersection():
+    G = dihedral_group(4)
+    H, K = Subgroup(G, [0, 1, 2, 3]), Subgroup(G, [0, 2, 4, 6])
+    T = trivial_module(G, 2)
+    first = GModuleMap(T, T, IntMatrix([[1, 2], [0, 1]]), scope=H)
+    second = GModuleMap(T, T, IntMatrix([[0, 1], [1, 0]]), scope=K)
+    comp = first.then(second)
+    common = set(H.elements) & set(K.elements)
+    assert set(comp.scope.elements) == common == {0, 2}
+    assert comp.matrix == IntMatrix([[0, 1], [1, 2]])
+    assert repr(comp) == f"GModuleMap(triv^2 -> triv^2, map over subgroup of order {len(common)})"
+
+
 # -- generator-edge law checks against the all-pairs oracles -------------------------
 
 

@@ -1151,6 +1151,12 @@ def test_a_rational_factor_gives_the_whole_table_product(field, data, q):
         assert _same(x / q, product_by_table(x, inverse_by_elimination(r)))
 
 
+def test_a_number_over_an_element_is_the_number_times_its_inverse():
+    for field in SCALAR_TOWERS.values():
+        x = field.one() + field.gen(0)
+        assert _same(2 / x, product_by_table(field.integer(2), inverse_by_elimination(x)))
+
+
 def test_the_uniformizer_of_an_unramified_field_inverts_to_one_over_p():
     for field in SCALAR_TOWERS.values():
         if field.ramification_index == 1:
